@@ -53,15 +53,15 @@ fault-matrix:
 	$(GO) test -race -count=1 -run 'TestFault' ./internal/bench/
 
 # Shard-count matrix (DESIGN.md §2.3–2.4) under the race detector: the
-# double-run determinism harness at kernel shards 1/2/4, the shard-count
-# invariance proofs (goldens, probed run, 50-seed faulted runs), the
-# full-stack windowed-mode proofs (fig9a/fig13 goldens, probe stream, and
-# 50-seed faulted runs bit-identical to lockstep), the 108K- and
-# 1M-rank parallel-window halo workloads against their lockstep oracles,
-# and the network-level shard-partition properties (route-cache fill
-# hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
+# double-run determinism harness at kernel shards 1/2/4, the full-stack
+# flat-vs-windowed checks at shards 2/4 (fig8b/fig9a/fig13 goldens, probe
+# stream, and 50-seed faulted runs byte-identical to flat), the point
+# fan-out invariance, the 108K- and 1M-rank parallel-window halo
+# workloads against their lockstep oracles, and the network-level
+# shard-partition properties (route-cache fill hammer, 50-seed per-link
+# occupancy parity, cross-traffic conservation).
 shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardCountInvariance|TestFaultedShardInvariance|TestWorkerCountInvariance|TestShardScale|TestWindowed' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestWorkerCountInvariance|TestShardScale|TestWindowed|TestShardCountInvariance|TestFaultedShardInvariance' ./internal/bench/
 	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
@@ -69,8 +69,8 @@ shard-matrix:
 # rendezvous transfer, partition-heal, kill under both strategies — each
 # double-run for bit-identical replay), the 200-seed random kill/partition
 # failover property test (exactly-once delivery, per-connection FIFO,
-# pools drained), the checkpoint round-trip proof at kernel shards 1/2/4
-# in lockstep and windowed modes, and the strategy unit tests.
+# pools drained), the checkpoint round-trip proof on the flat engine and
+# on windowed kernels at shards 2/4, and the strategy unit tests.
 resilience-matrix:
 	$(GO) test -race -count=1 -run 'TestResilience|TestWindowedCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
@@ -81,9 +81,9 @@ bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
-# Full benchmark suite (figure wall-clock + sharded/windowed-kernel
-# scaling + kernel microbenchmarks + recovery-strategy killed paths) as
-# JSON, with the recorded pre-optimization baseline alongside. Each entry
+# Full benchmark suite (figure wall-clock flat and windowed + shardscale
+# kernel scaling + kernel microbenchmarks + recovery-strategy killed
+# paths) as JSON, with the recorded pre-optimization baseline alongside. Each entry
 # is the mean of 5 repeated runs with the sample stddev recorded. The
 # output file tracks the allocation discipline, the PR 6 shard-scaling
 # work, the PR 8 shard-local network model (windowed full-stack and

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"charmgo"
 	"charmgo/internal/bench"
 )
 
@@ -74,11 +73,10 @@ func BenchmarkFig9aWallClock(b *testing.B) {
 	}
 }
 
-// runShardedWallClock benchmarks one full-axis experiment at kernel shard
-// counts 1 and 4, fanning independent data points across as many workers
-// (the lockstep kernel keeps each simulation's results bit-identical; the
-// point fan-out is where the wall-clock scaling comes from, see
-// internal/bench/parallel.go and DESIGN.md §2.3).
+// runShardedWallClock benchmarks one full-axis experiment with every
+// Charm machine on the flat engine (shards=1) and on a windowed kernel at
+// 4 shards (bench.Options.Shards). Workers stays unset, so the pair prices
+// the window protocol itself, not the point fan-out (DESIGN.md §2.3).
 func runShardedWallClock(b *testing.B, id string) {
 	b.Helper()
 	e, ok := bench.Find(id)
@@ -87,9 +85,7 @@ func runShardedWallClock(b *testing.B, id string) {
 	}
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			prev := charmgo.SetDefaultShards(shards)
-			defer charmgo.SetDefaultShards(prev)
-			opts := bench.Options{Quick: false, Seed: 1, Workers: shards}
+			opts := bench.Options{Quick: false, Seed: 1, Shards: shards}
 			for b.Loop() {
 				e.Run(opts)
 			}

@@ -126,80 +126,15 @@ type MachineConfig struct {
 	// Machine.Checkpoint (the Kernel field), optionally advanced past the
 	// recovery delay with KernelCheckpoint.Advanced.
 	Resume *KernelCheckpoint
-	// Shards partitions the simulation kernel into per-node-group shards
-	// (sim.ShardedEngine over a topology slab partition). 0 falls back to
-	// the package default (see SetDefaultShards); 1 keeps the flat engine.
-	// Under the default ShardMode the sharded kernel runs in lockstep, so
-	// results are bit-identical for every value — faulted runs and probe
-	// streams included.
+	// Shards > 1 partitions the simulation kernel into per-node-group
+	// shards (sim.ShardedEngine over a topology slab partition) that run
+	// single-threaded conservative lookahead windows; 0 or 1 keeps the
+	// flat engine, the oracle. Windowed runs match flat for
+	// link-disciplined traffic, but contended cross-shard links may fill
+	// gaps in a different order (DESIGN.md §2.4), and DeadRoute reroutes
+	// need the flat engine.
 	Shards int
-	// ShardMode selects how a sharded kernel (Shards > 1) executes:
-	// lockstep (the bit-identical oracle order), single-threaded
-	// conservative windows, or parallel windows with one worker goroutine
-	// per shard. ShardLockstep — the zero value — falls back to the
-	// package default (see SetDefaultShardMode). Ignored on flat kernels.
-	ShardMode ShardMode
 }
-
-// ShardMode selects the sharded kernel's execution protocol (see
-// sim.RunMode for the underlying machinery).
-type ShardMode int
-
-const (
-	// ShardLockstep fires the globally minimal event one at a time: the
-	// oracle order, bit-identical to a flat kernel at every shard count.
-	ShardLockstep ShardMode = iota
-	// ShardWindowed executes conservative lookahead windows — shard-local
-	// link booking, barrier-merged cross-shard reservations — on a single
-	// goroutine: the full window protocol without worker concurrency.
-	ShardWindowed
-	// ShardParallel executes the same window protocol with one worker
-	// goroutine per shard. Machine stacks with coordinator-side shared
-	// state must use ShardWindowed; ShardParallel is for shard-confined
-	// workloads (see sim.RunParallel).
-	ShardParallel
-)
-
-// defaultShardMode is the package-wide shard execution mode used when
-// MachineConfig.ShardMode is ShardLockstep (the zero value), mirroring
-// defaultShards: invariance harnesses flip every machine an experiment
-// builds onto the window protocol without threading a knob through each
-// construction site.
-var defaultShardMode = ShardLockstep
-
-// SetDefaultShardMode sets the package-default shard execution mode
-// applied when MachineConfig.ShardMode is the zero value, returning the
-// previous default so callers can restore it.
-func SetDefaultShardMode(m ShardMode) (prev ShardMode) {
-	prev = defaultShardMode
-	defaultShardMode = m
-	return prev
-}
-
-// DefaultShardMode reports the package-default shard execution mode.
-func DefaultShardMode() ShardMode { return defaultShardMode }
-
-// defaultShards is the package-wide shard count used when
-// MachineConfig.Shards is zero. It exists so invariance harnesses can
-// force every machine an experiment builds — including ones constructed
-// deep inside the harness — onto a sharded kernel without threading a
-// knob through each construction site.
-var defaultShards = 1
-
-// SetDefaultShards sets the package-default kernel shard count applied
-// when MachineConfig.Shards is zero, returning the previous value so
-// callers can restore it. Values below 1 are treated as 1.
-func SetDefaultShards(n int) (prev int) {
-	prev = defaultShards
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-	return prev
-}
-
-// DefaultShards reports the package-default kernel shard count.
-func DefaultShards() int { return defaultShards }
 
 // NewMachine builds a ready-to-run simulated machine.
 func NewMachine(cfg MachineConfig) *Machine {
@@ -213,32 +148,17 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.CoresPerNode > 0 {
 		params.CoresPerNode = cfg.CoresPerNode
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = defaultShards
-	}
-	mode := cfg.ShardMode
-	if mode == ShardLockstep {
-		mode = defaultShardMode
-	}
 	var eng sim.Kernel
-	if shards > 1 {
-		part := topology.PartitionTorus(topology.Shape(cfg.Nodes), cfg.Nodes, shards)
-		if mode != ShardLockstep {
-			// Window modes need the parallel-capable kernel: per-shard
-			// sequence counters, outboxes, and the conservative lookahead
-			// priced from the partition's minimal cross-shard hop count.
-			se := sim.NewParallelEngine(part.Shards, part.NodeShard(),
-				params.ShardLookahead(part.MinCrossHops()))
-			if mode == ShardWindowed {
-				se.SetRunMode(sim.RunWindowed)
-			} else {
-				se.SetRunMode(sim.RunParallel)
-			}
-			eng = se
-		} else {
-			eng = sim.NewShardedEngine(part.Shards, part.NodeShard())
-		}
+	if cfg.Shards > 1 {
+		// Windows run on the caller's goroutine: the layers share
+		// coordinator-side state (pools, counters) across shards. The
+		// lookahead is priced from the partition's minimal cross-shard hop
+		// count.
+		part := topology.PartitionTorus(topology.Shape(cfg.Nodes), cfg.Nodes, cfg.Shards)
+		se := sim.NewParallelEngine(part.Shards, part.NodeShard(),
+			params.ShardLookahead(part.MinCrossHops()))
+		se.SetRunMode(sim.RunWindowed)
+		eng = se
 	} else {
 		eng = sim.NewEngine()
 	}

@@ -33,7 +33,6 @@ func main() {
 		chunk     = flag.Int("chunk", 1, "nqueens: task bundling")
 		system    = flag.String("system", "dhfr", "md: iapp, dhfr or apoa1")
 		steps     = flag.Int("steps", 3, "md: measured steps")
-		shards    = flag.Int("shards", 1, "kernel shards (profile is identical at any count)")
 	)
 	flag.Parse()
 
@@ -47,7 +46,6 @@ func main() {
 		CoresPerNode: *cores / nodes,
 		Layer:        charmgo.LayerKind(*layer),
 		Tracer:       rec,
-		Shards:       *shards,
 	})
 
 	switch *app {

@@ -18,8 +18,8 @@ import (
 // the expected analyzer.
 //
 // The four shardsafe rows seed the races the parallel-window kernel
-// design forbids: a worker-loop store through the coordinator's shared
-// sequence counter, a dropped atomic on the live-descriptor counter, a
+// design forbids: a worker-loop store to the coordinator's window
+// floor, a dropped atomic on the live-descriptor counter, a
 // second outbox producer, and a direct past-window send through the
 // coordinator. The next two rows automate PR 4's manual ablation on the
 // shipped machine layer: deleting a single descriptor Put, and deleting
@@ -49,7 +49,7 @@ func ablationRows() []ablationRow {
 			file: "internal/sim/shard.go",
 			edits: []edit{{
 				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\t*sh.eng.seqp = n",
+				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\tsh.se.windowFloor = horizon",
 			}},
 			analyzer: "shardescape",
 		},

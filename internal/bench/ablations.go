@@ -23,8 +23,8 @@ func AblRendezvous(o Options) []*stats.Table {
 	t := stats.NewTable("Ablation: GET- vs PUT-based rendezvous, one-way latency (us)",
 		"size", "GET-based", "PUT-based", "penalty")
 	for _, size := range o.sizes(2<<10, 1<<20) {
-		g := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()
-		p := CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &put, Size: size}.OneWay()
+		g := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)
+		p := CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &put, Size: size}.OneWay(o)
 		t.Add(stats.SizeLabel(size), us(g), us(p),
 			fmt.Sprintf("+%.2fus", us(p-g)))
 	}
@@ -48,7 +48,7 @@ func AblBTEThreshold(o Options) []*stats.Table {
 			row[0] = "always-FMA"
 		}
 		for _, size := range sizes {
-			row = append(row, us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &cfg, Size: size}.OneWay()))
+			row = append(row, us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &cfg, Size: size}.OneWay(o)))
 		}
 		t.Add(row...)
 	}
@@ -65,7 +65,7 @@ func AblChunkSize(o Options) []*stats.Table {
 	t := stats.NewTable(fmt.Sprintf("Ablation: task bundling, %d-Queens thr=%d on %d cores", n, thr, cores),
 		"chunk", "tasks", "time(ms)")
 	for _, chunk := range []int{1, 4, 16, 64, 256} {
-		res := runQueens(cores, charmgo.LayerUGNI, ssse.Config{
+		res := o.runQueens(cores, charmgo.LayerUGNI, ssse.Config{
 			N: n, Threshold: thr, Seed: o.Seed, ChunkSize: chunk,
 		})
 		t.Add(chunk, res.Tasks, res.Elapsed.Millis())
@@ -98,7 +98,7 @@ func AblPMEPriority(o Options) []*stats.Table {
 		"system(cores)", "prioritized", "unprioritized")
 	for _, sys := range []md.System{md.DHFR, md.ApoA1} {
 		run := func(noPrio bool) float64 {
-			m := queensMachine(cores, charmgo.LayerUGNI, nil)
+			m := o.queensMachine(cores, charmgo.LayerUGNI, nil)
 			r := md.Run(m, md.Config{
 				System: sys, Steps: steps, Warmup: warm, LB: true,
 				Seed: o.Seed, NoPMEPriority: noPrio,
@@ -122,8 +122,8 @@ func AblMSGQ(o Options) []*stats.Table {
 		"size", "SMSG", "MSGQ")
 	for _, size := range []int{8, 64, 256, 1024} {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smsg, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &msgq, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smsg, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &msgq, Size: size}.OneWay(o)),
 		)
 	}
 	t.Note = "MSGQ queue memory grows per node pair, SMSG mailboxes per PE pair"

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"charmgo"
 	"charmgo/internal/fault"
 	"charmgo/internal/resilience"
 	"charmgo/internal/sim"
@@ -121,51 +120,19 @@ func Fig9aWallClock() BenchResult {
 }
 
 // figShardedEntry builds the suite entry measuring one full-axis
-// experiment regeneration per op with the kernel shard count and the
-// point fan-out both set to shards: the sharded-kernel wall-clock scaling
-// entries of BENCH_PR6.json. The lockstep kernel keeps virtual-time
-// results bit-identical; wall clock improves from the point fan-out
-// (clamped to GOMAXPROCS) on multi-core hosts, while on a single-core
-// recording host the pair documents that sharding costs nothing — the
-// recorded difference sits within the sample stddev (DESIGN.md §2.3).
+// experiment regeneration per op with every Charm machine on a kernel of
+// the given shard count (Options.Shards; 1 is the flat engine, more runs
+// single-threaded conservative windows). Workers stays unset, so the
+// entry prices the window protocol itself rather than the point fan-out.
 func figShardedEntry(id string, shards int) *suiteEntry {
 	e, ok := Find(id)
 	if !ok {
 		panic("bench: " + id + " experiment missing")
 	}
+	opts := Options{Quick: false, Seed: 1, Shards: shards}
 	return &suiteEntry{
 		name: fmt.Sprintf("%s_wallclock_shards%d", id, shards),
 		fn: func(b *testing.B) {
-			prev := charmgo.SetDefaultShards(shards)
-			defer charmgo.SetDefaultShards(prev)
-			opts := Options{Quick: false, Seed: 1, Workers: shards}
-			for i := 0; i < b.N; i++ {
-				e.Run(opts)
-			}
-		},
-	}
-}
-
-// figWindowedEntry measures one full-axis experiment regeneration per op
-// with the machine stack running single-threaded conservative windows at
-// the given kernel shard count: the full-stack window-protocol overhead
-// entry of BENCH_PR8.json (virtual-time results stay bit-identical to
-// lockstep — see TestWindowedGoldens).
-func figWindowedEntry(id string, shards int) *suiteEntry {
-	e, ok := Find(id)
-	if !ok {
-		panic("bench: " + id + " experiment missing")
-	}
-	return &suiteEntry{
-		name: fmt.Sprintf("%s_wallclock_windowed%d", id, shards),
-		fn: func(b *testing.B) {
-			prevN := charmgo.SetDefaultShards(shards)
-			prevM := charmgo.SetDefaultShardMode(charmgo.ShardWindowed)
-			defer func() {
-				charmgo.SetDefaultShards(prevN)
-				charmgo.SetDefaultShardMode(prevM)
-			}()
-			opts := Options{Quick: false, Seed: 1, Workers: shards}
 			for i := 0; i < b.N; i++ {
 				e.Run(opts)
 			}
@@ -235,7 +202,6 @@ func RunBenchSuite() []BenchResult {
 		entries = append(entries, figShardedEntry("fig9a", shards))
 		entries = append(entries, figShardedEntry("fig13", shards))
 	}
-	entries = append(entries, figWindowedEntry("fig9a", 4))
 	for _, shards := range []int{1, 2, 4} {
 		entries = append(entries, shardScaleEntry(shards, false))
 	}

@@ -27,6 +27,19 @@ type Options struct {
 	// are byte-identical at any worker count: each point is its own
 	// simulation and lands in its own result slot.
 	Workers int
+	// Shards is the kernel shard count of every Charm machine the run
+	// builds (charmgo.MachineConfig.Shards): 0 or 1 keeps the flat
+	// engine, more runs conservative windows. Pure uGNI/MPI stacks stay
+	// flat (see newStack).
+	Shards int
+}
+
+// machine builds one Charm machine on the kernel o selects. Every Charm
+// machine the harness builds comes from here, so Shards reaches all of
+// them.
+func (o Options) machine(cfg charmgo.MachineConfig) *charmgo.Machine {
+	cfg.Shards = o.Shards
+	return charmgo.NewMachine(cfg)
 }
 
 // Experiment is one reproducible figure or table.
@@ -111,7 +124,7 @@ func Fig1(o Options) []*stats.Table {
 		t.Add(stats.SizeLabel(size),
 			us(PureUGNIOneWay(size)),
 			us(PureMPIOneWay(size, true, false)),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
 		)
 	}
 	return []*stats.Table{t}
@@ -140,8 +153,8 @@ func Fig6(o Options) []*stats.Table {
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
 			us(PureUGNIOneWay(size)),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay(o)),
 		)
 	}
 	return []*stats.Table{t}
@@ -152,8 +165,8 @@ func Fig8a(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 8a: one-way latency (us)", "size", "w/o persistent", "w/ persistent", "pure uGNI")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Persistent: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Persistent: true}.OneWay(o)),
 			us(PureUGNIOneWay(size)),
 		)
 	}
@@ -167,8 +180,8 @@ func Fig8b(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 8b: one-way latency (us)", "size", "w/o mempool", "w/ mempool", "pure uGNI")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
 			us(PureUGNIOneWay(size)),
 		)
 	}
@@ -186,10 +199,10 @@ func Fig8c(o Options) []*stats.Table {
 		"size", "pxshm double", "pxshm single", "pure MPI", "uGNI loopback")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay(o)),
 			us(PureMPIOneWay(size, true, true)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &nic, Size: size, Intra: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &nic, Size: size, Intra: true}.OneWay(o)),
 		)
 	}
 	return []*stats.Table{t}
@@ -204,8 +217,8 @@ func Fig9a(o Options) []*stats.Table {
 	o.forEachPoint(len(sizes), func(i int) {
 		size := sizes[i]
 		rows[i] = [5]float64{
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
 			us(PureMPIOneWay(size, true, false)),
 			us(PureMPIOneWay(size, false, false)),
 			us(PureUGNIOneWay(size)),
@@ -225,8 +238,8 @@ func Fig9b(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 9b: bandwidth (MB/s)", "size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(16<<10, 4<<20) {
 		t.Add(stats.SizeLabel(size),
-			Bandwidth(charmgo.LayerUGNI, size),
-			Bandwidth(charmgo.LayerMPI, size),
+			Bandwidth(o, charmgo.LayerUGNI, size),
+			Bandwidth(o, charmgo.LayerMPI, size),
 		)
 	}
 	return []*stats.Table{t}
@@ -242,8 +255,8 @@ func Fig9c(o Options) []*stats.Table {
 		"size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
-			us(OneToAll(charmgo.LayerUGNI, nodes, size)),
-			us(OneToAll(charmgo.LayerMPI, nodes, size)),
+			us(OneToAll(o, charmgo.LayerUGNI, nodes, size)),
+			us(OneToAll(o, charmgo.LayerMPI, nodes, size)),
 		)
 	}
 	return []*stats.Table{t}
@@ -255,8 +268,8 @@ func Fig10(o Options) []*stats.Table {
 		"size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
-			us(KNeighbor(charmgo.LayerUGNI, 3, 1, size)),
-			us(KNeighbor(charmgo.LayerMPI, 3, 1, size)),
+			us(KNeighbor(o, charmgo.LayerUGNI, 3, 1, size)),
+			us(KNeighbor(o, charmgo.LayerMPI, 3, 1, size)),
 		)
 	}
 	return []*stats.Table{t}
@@ -273,17 +286,17 @@ func geomFor(cores int) (nodes, coresPerNode int) {
 }
 
 // queensMachine builds a machine with exactly the given core count.
-func queensMachine(cores int, layer charmgo.LayerKind, tracer *trace.Recorder) *charmgo.Machine {
+func (o Options) queensMachine(cores int, layer charmgo.LayerKind, tracer *trace.Recorder) *charmgo.Machine {
 	nodes, cpn := geomFor(cores)
-	return charmgo.NewMachine(charmgo.MachineConfig{
+	return o.machine(charmgo.MachineConfig{
 		Nodes: nodes, CoresPerNode: cpn, Layer: layer, Tracer: tracer,
 	})
 }
 
 // runQueens builds a queens machine, runs the workload, and recycles the
 // machine's construction slabs (closeMachine) before returning.
-func runQueens(cores int, layer charmgo.LayerKind, cfg ssse.Config) ssse.Result {
-	m := queensMachine(cores, layer, nil)
+func (o Options) runQueens(cores int, layer charmgo.LayerKind, cfg ssse.Config) ssse.Result {
+	m := o.queensMachine(cores, layer, nil)
 	r := ssse.Run(m, cfg)
 	closeMachine(m)
 	return r
@@ -316,10 +329,10 @@ func Fig11(o Options) []*stats.Table {
 	t := stats.NewTable(fmt.Sprintf("Fig 11: %d-Queens speedup (uGNI thr=%d, MPI thr=%d)", n, thrU, thrM),
 		"cores", "ugni time(s)", "ugni speedup", "mpi time(s)", "mpi speedup")
 	for _, cores := range coreCounts {
-		ru := runQueens(cores, charmgo.LayerUGNI, ssse.Config{
+		ru := o.runQueens(cores, charmgo.LayerUGNI, ssse.Config{
 			N: n, Threshold: thrU, Seed: o.Seed, ChunkSize: queensChunk(n, thrU),
 		})
-		rm := runQueens(cores, charmgo.LayerMPI, ssse.Config{
+		rm := o.runQueens(cores, charmgo.LayerMPI, ssse.Config{
 			N: n, Threshold: thrM, Seed: o.Seed, ChunkSize: queensChunk(n, thrM),
 		})
 		seqU := sim.Time(ru.Nodes) * ssse.DefaultPerNodeCost
@@ -354,7 +367,7 @@ func Fig12(o Options) []*stats.Table {
 	for _, c := range cases {
 		// Record with fine bins; RenderCompact merges to ~36 rows.
 		rec := trace.NewRecorder(cores, sim.Millisecond)
-		m := queensMachine(cores, c.layer, rec)
+		m := o.queensMachine(cores, c.layer, rec)
 		res := ssse.Run(m, ssse.Config{
 			N: n, Threshold: c.thr, Seed: o.Seed, ChunkSize: queensChunk(n, c.thr),
 		})
@@ -391,7 +404,7 @@ func Fig13(o Options) []*stats.Table {
 	results := make([][2]float64, len(cases))
 	o.forEachPoint(len(cases)*2, func(i int) {
 		c := cases[i/2]
-		m := queensMachine(c.cores, layers[i%2], nil)
+		m := o.queensMachine(c.cores, layers[i%2], nil)
 		r := md.Run(m, md.Config{
 			System: c.sys, Steps: steps, Warmup: warm, LB: true, Seed: o.Seed,
 		})
@@ -430,10 +443,10 @@ func Table1(o Options) []*stats.Table {
 	t := stats.NewTable("Table I: N-Queens best times (seconds)",
 		"queens", "ugni cores", "ugni time", "mpi cores", "mpi time")
 	for _, r := range rows {
-		ru := runQueens(r.coresUGNI, charmgo.LayerUGNI, ssse.Config{
+		ru := o.runQueens(r.coresUGNI, charmgo.LayerUGNI, ssse.Config{
 			N: r.n, Threshold: r.thrUGNI, Seed: o.Seed, ChunkSize: queensChunk(r.n, r.thrUGNI),
 		})
-		rm := runQueens(r.coresMPI, charmgo.LayerMPI, ssse.Config{
+		rm := o.runQueens(r.coresMPI, charmgo.LayerMPI, ssse.Config{
 			N: r.n, Threshold: r.thrMPI, Seed: o.Seed, ChunkSize: queensChunk(r.n, r.thrMPI),
 		})
 		t.Add(r.n, r.coresUGNI, ru.Elapsed.Seconds(), r.coresMPI, rm.Elapsed.Seconds())
@@ -452,7 +465,7 @@ func Table2(o Options) []*stats.Table {
 	t := stats.NewTable("Table II: ApoA1 ms/step", "cores", "charm/mpi", "charm/ugni")
 	for _, cores := range coreCounts {
 		run := func(layer charmgo.LayerKind) float64 {
-			m := queensMachine(cores, layer, nil)
+			m := o.queensMachine(cores, layer, nil)
 			r := md.Run(m, md.Config{
 				System: md.ApoA1, Steps: steps, Warmup: warm, LB: cores >= 48, Seed: o.Seed,
 			})

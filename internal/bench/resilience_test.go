@@ -256,23 +256,23 @@ func ringPhase(m *charmgo.Machine, hops, size int, start sim.Time) (int, sim.Tim
 }
 
 // TestWindowedCheckpointRoundTrip proves the checkpoint/restore
-// round-trip bit-identical on the full machine stack at kernel shards
-// 1, 2, 4 under lockstep AND conservative windows: phase 1 runs to
-// quiescence and snapshots; a junk workload resumed from the same
-// snapshot mutates freely and is discarded; rolling back (resuming the
-// snapshot again) and replaying phase 2 must reproduce the probe stats
-// and final time of the never-mutated continuation exactly — on every
-// kernel. Folded into `make shard-matrix` by the TestWindowed prefix.
+// round-trip bit-identical on the full machine stack on the flat engine
+// and on windowed kernels at shards 2 and 4: phase 1 runs to quiescence
+// and snapshots; a junk workload resumed from the same snapshot mutates
+// freely and is discarded; rolling back (resuming the snapshot again) and
+// replaying phase 2 must reproduce the probe stats and final time of the
+// never-mutated flat continuation exactly — on every kernel. Run by
+// `make resilience-matrix`.
 func TestWindowedCheckpointRoundTrip(t *testing.T) {
-	sig := func(shards int, mode charmgo.ShardMode, mutate bool) string {
+	sig := func(shards int, mutate bool) string {
 		ks1 := charmgo.NewKernelStats()
 		m1 := charmgo.NewMachine(charmgo.MachineConfig{
-			Nodes: 8, CoresPerNode: 1, Probe: ks1, Shards: shards, ShardMode: mode,
+			Nodes: 8, CoresPerNode: 1, Probe: ks1, Shards: shards,
 		})
 		h1, _ := ringPhase(m1, 32, 2048, 0)
 		ck, err := m1.Checkpoint()
 		if err != nil {
-			t.Fatalf("checkpoint at shards=%d mode=%d: %v", shards, mode, err)
+			t.Fatalf("checkpoint at shards=%d: %v", shards, err)
 		}
 		m1.Close()
 		if mutate {
@@ -280,7 +280,7 @@ func TestWindowedCheckpointRoundTrip(t *testing.T) {
 			// rollback below must not see any of this.
 			k := ck.Kernel
 			mj := charmgo.NewMachine(charmgo.MachineConfig{
-				Nodes: 8, CoresPerNode: 1, Shards: shards, ShardMode: mode, Resume: &k,
+				Nodes: 8, CoresPerNode: 1, Shards: shards, Resume: &k,
 			})
 			ringPhase(mj, 7, 64, k.Now)
 			mj.Close()
@@ -288,7 +288,7 @@ func TestWindowedCheckpointRoundTrip(t *testing.T) {
 		ks2 := charmgo.NewKernelStats()
 		k := ck.Kernel
 		m2 := charmgo.NewMachine(charmgo.MachineConfig{
-			Nodes: 8, CoresPerNode: 1, Probe: ks2, Shards: shards, ShardMode: mode, Resume: &k,
+			Nodes: 8, CoresPerNode: 1, Probe: ks2, Shards: shards, Resume: &k,
 		})
 		h2, end2 := ringPhase(m2, 32, 2048, k.Now)
 		m2.Close()
@@ -300,14 +300,12 @@ func TestWindowedCheckpointRoundTrip(t *testing.T) {
 	}
 
 	live := mem.LiveDescriptors()
-	base := sig(1, charmgo.ShardLockstep, false)
+	base := sig(1, false)
 	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []charmgo.ShardMode{charmgo.ShardLockstep, charmgo.ShardWindowed} {
-			for _, mutate := range []bool{false, true} {
-				if got := sig(shards, mode, mutate); got != base {
-					t.Errorf("round trip differs at shards=%d mode=%d mutate=%v:\n--- base\n%s\n--- got\n%s",
-						shards, mode, mutate, base, got)
-				}
+		for _, mutate := range []bool{false, true} {
+			if got := sig(shards, mutate); got != base {
+				t.Errorf("round trip differs at shards=%d mutate=%v:\n--- base\n%s\n--- got\n%s",
+					shards, mutate, base, got)
 			}
 		}
 	}

@@ -68,7 +68,7 @@ type Network struct {
 	// it, so neighbor booking performs no cache writes whatsoever.
 	nbrRoutes []topology.LinkID
 
-	// sharded is non-nil when Eng is a window-capable sharded kernel: the
+	// sharded is non-nil when Eng is a sharded kernel: the
 	// deferral predicate, the window-floor resource clock, and the
 	// barrier hook all hang off it.
 	sharded *sim.ShardedEngine
@@ -161,8 +161,8 @@ func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
 		// Window modes prune resources against the window floor — the
 		// conservative lower bound on any in-flight booking — not the
 		// fired-event clock, which the barrier-applied reservations may
-		// trail by up to the lookahead. In lockstep mode WindowFloor is
-		// the plain clock, so flat-engine behavior is unchanged.
+		// trail by up to the lookahead. Under lockstep execution
+		// WindowFloor is the plain clock.
 		clock = sharded.WindowFloor
 		sharded.OnBarrier(n.applyReservations)
 	}

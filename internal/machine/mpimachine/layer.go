@@ -159,8 +159,8 @@ func (l *Layer) pump(pe int) {
 	// One-nanosecond yield: a message delivered at exactly t must win the
 	// CPU (its dispatch event is already queued) before the next probe.
 	// Booked onto the PE's own node so the pump executes on the shard that
-	// owns the PE's CPU and queue under windowed kernels (under lockstep
-	// the shared sequence counter makes the placement irrelevant).
+	// owns the PE's CPU and queue under windowed kernels (the flat
+	// engine ignores the node hint).
 	eng.AtNodeArg(l.gni.Net.NodeOf(pe), t+1, firePump, &l.pumps[pe])
 }
 

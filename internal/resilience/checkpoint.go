@@ -30,9 +30,6 @@ type CheckpointConfig struct {
 	// the kernel clock at fail-time + DetectDelay + RestartCost
 	// (defaults 50µs and 200µs).
 	DetectDelay, RestartCost sim.Time
-	// Shards and ShardMode select the kernel (kills require lockstep).
-	Shards    int
-	ShardMode charmgo.ShardMode
 	// Probe optionally observes every phase's kernel alongside the
 	// strategy's own fault timeline.
 	Probe charmgo.Probe
@@ -123,8 +120,6 @@ func RunCheckpoint(cfg CheckpointConfig) CheckpointResult {
 			CoresPerNode: 1,
 			Layer:        cfg.Layer,
 			Faults:       &sched,
-			Shards:       cfg.Shards,
-			ShardMode:    cfg.ShardMode,
 			Probe:        probe,
 			Resume:       resume,
 		})

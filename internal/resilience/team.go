@@ -35,10 +35,6 @@ type TeamConfig struct {
 	// charmgo.MachineConfig.Faults. Kills must be team-safe (at most
 	// one replica per team), e.g. drawn with Killable = plane B.
 	Faults *fault.Schedule
-	// Shards and ShardMode select the kernel. Kills require lockstep;
-	// the DeadRoute reroute additionally requires flat/lockstep.
-	Shards    int
-	ShardMode charmgo.ShardMode
 	// Probe optionally observes the kernel alongside the strategy's
 	// own fault timeline.
 	Probe charmgo.Probe
@@ -155,8 +151,6 @@ func RunTeam(cfg TeamConfig) TeamResult {
 		Layer:        cfg.Layer,
 		UGNI:         cfg.UGNI,
 		Faults:       cfg.Faults,
-		Shards:       cfg.Shards,
-		ShardMode:    cfg.ShardMode,
 		Probe:        noteProbe(tl, cfg.Probe),
 	})
 	st := &teamState{

@@ -81,35 +81,29 @@ func (e *Engine) Restore(ck KernelCheckpoint) error {
 	return nil
 }
 
-// Checkpoint implements Checkpointer. In lockstep mode the shared counter
-// is the one that matters; per-shard counters (window modes) are kept
-// uniform by Restore, so one global Seq describes either kind of kernel.
+// Checkpoint implements Checkpointer. Shards draw from independent
+// counters; the largest is the safe continuation point for every shard,
+// and Restore keeps them uniform, so one global Seq describes either kind
+// of kernel.
 func (se *ShardedEngine) Checkpoint() (KernelCheckpoint, error) {
 	if n := se.Pending(); n != 0 {
 		return KernelCheckpoint{}, fmt.Errorf("sim: checkpoint with %d events pending", n)
 	}
-	ck := KernelCheckpoint{Now: se.now, LastAt: se.now, Seq: se.seq, Fired: se.Fired()}
-	if se.parallel {
-		// Window modes draw from per-shard counters; the largest is the
-		// safe continuation point for every shard.
-		for _, sh := range se.shards {
-			if sh.seq > ck.Seq {
-				ck.Seq = sh.seq
-			}
-			if sh.lastAt > ck.LastAt {
-				ck.LastAt = sh.lastAt
-			}
+	ck := KernelCheckpoint{Now: se.now, LastAt: se.now, Fired: se.Fired()}
+	for _, sh := range se.shards {
+		if sh.seq > ck.Seq {
+			ck.Seq = sh.seq
+		}
+		if sh.lastAt > ck.LastAt {
+			ck.LastAt = sh.lastAt
 		}
 	}
 	return ck, nil
 }
 
-// Restore implements Checkpointer: the global clock, the shared lockstep
-// counter, and every shard's clock and counter warp to the checkpoint
-// uniformly. Uniform per-shard state is what keeps a restored lockstep
-// kernel bit-identical to a restored flat kernel at every shard count —
-// the same induction that proves clean-run invariance applies from the
-// warped initial state.
+// Restore implements Checkpointer: the global clock and every shard's
+// clock and counter warp to the checkpoint uniformly, so a restored
+// kernel replays from the same initial state whatever the shard count.
 func (se *ShardedEngine) Restore(ck KernelCheckpoint) error {
 	if n := se.Pending(); n != 0 {
 		return fmt.Errorf("sim: restore with %d events pending", n)
@@ -118,7 +112,6 @@ func (se *ShardedEngine) Restore(ck KernelCheckpoint) error {
 		return fmt.Errorf("sim: restore would rewind clock from %v to %v", se.now, ck.Now)
 	}
 	se.now = ck.Now
-	se.seq = ck.Seq
 	for i, sh := range se.shards {
 		sh.now = ck.Now
 		sh.lastAt = ck.LastAt

@@ -56,6 +56,13 @@ func runRoundTrip(t *testing.T, mk func() Kernel) ([]string, Time) {
 // included, at several shard counts.
 func TestKernelCheckpointRoundTrip(t *testing.T) {
 	flat := func() Kernel { return NewEngine() }
+	sharded := func(shards int, mode RunMode) func() Kernel {
+		return func() Kernel {
+			se := NewParallelEngine(shards, stripedShards(shards, shards), 3)
+			se.SetRunMode(mode)
+			return se
+		}
+	}
 	// Continuous oracle: both phases on one engine.
 	k := NewEngine()
 	var oracle []string
@@ -71,8 +78,9 @@ func TestKernelCheckpointRoundTrip(t *testing.T) {
 		mk   func() Kernel
 	}{
 		{"flat", flat},
-		{"sharded2", func() Kernel { return NewShardedEngine(2, []int32{0, 1}) }},
-		{"sharded4", func() Kernel { return NewShardedEngine(4, []int32{0, 1, 2, 3}) }},
+		{"lockstep2", sharded(2, RunLockstep)},
+		{"windowed2", sharded(2, RunWindowed)},
+		{"windowed4", sharded(4, RunWindowed)},
 	} {
 		log, end := runRoundTrip(t, tc.mk)
 		if end != oracleEnd {

@@ -70,7 +70,6 @@ type Engine struct {
 	lastAt    Time // timestamp of the most recently fired event (RunUntil moves now past it)
 	heap      []entry
 	seq       uint64
-	seqp      *uint64 //simlint:shared -- lockstep ShardedEngine shares one counter across shards; NewShardedEngine(parallel) nils it before any worker exists
 	fired     uint64
 	live      int // pending (non-cancelled) events; Pending() is O(1)
 	cancelled int // cancelled events still occupying heap slots
@@ -182,17 +181,10 @@ func (e *Engine) acquire(t Time) *Event {
 	return ev
 }
 
-// nextSeq returns the next scheduling sequence number. Shards of a
-// lockstep ShardedEngine share one counter (seqp), which is what makes the
-// sharded total order (time, sequence) coincide with the flat engine's:
-// identical execution order implies identical scheduling order implies
-// identical sequence assignment, by induction over fired events.
+// nextSeq returns the next scheduling sequence number. Every Engine owns
+// its counter — each shard of a ShardedEngine included — so window
+// workers assign sequences without contending on shared state.
 func (e *Engine) nextSeq() uint64 {
-	if e.seqp != nil { //simlint:allow atomicshared -- nil check plus read of the lockstep-only counter: parallel mode nils seqp before any worker starts
-		s := *e.seqp    //simlint:allow atomicshared -- lockstep-only path: parallel mode nils seqp before workers start, so no window ever runs this branch
-		*e.seqp = s + 1 //simlint:allow shardescape -- same lockstep-only argument: the shared counter exists only while a single goroutine runs
-		return s
-	}
 	s := e.seq
 	e.seq = s + 1
 	return s

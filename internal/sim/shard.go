@@ -3,43 +3,28 @@ package sim
 import "fmt"
 
 // ShardedEngine partitions one simulation's event population across N
-// shards, each a pooled-heap Engine owning a group of simulated nodes.
-// It runs in one of two modes:
-//
-// Lockstep (NewShardedEngine): every shard draws scheduling sequence
-// numbers from one shared counter, and Run/Step always fire the globally
-// minimal (time, sequence) event. Because execution order determines
-// scheduling order and scheduling order determines sequence assignment,
-// induction over fired events shows the lockstep order is *identical* to
-// the flat Engine's — results are bit-identical at every shard count,
-// probes included. This is the mode the full machine stack uses: the
-// network's shared link bookings make its events non-commutative, so they
-// are never executed concurrently, but the event population is already
-// partitioned by owning node and every scheduling layer routes through
-// AtNode/AtNodeArg.
-//
-// Parallel (NewParallelEngine): shards advance concurrently inside
-// conservative windows bounded by the kernel lookahead L (for the gemini
-// model, InjectionLatency + minCrossShardHops × HopLatency). Each window,
-// the coordinator computes the horizon H = min-next-event + L, releases
-// one worker goroutine per shard to fire its local events with t < H, and
-// merges cross-shard sends at the barrier. An event executing at τ ≥
-// min-next-event may schedule remotely only at τ' ≥ τ + L ≥ H, so no
-// remote event can land inside the window that produced it — the
+// shards, each a pooled-heap Engine with its own sequence counter owning a
+// group of simulated nodes. Under the window protocols (see RunMode)
+// shards advance inside conservative windows bounded by the kernel
+// lookahead L (for the gemini model, InjectionLatency + minCrossShardHops
+// × HopLatency). Each window, the coordinator computes the horizon
+// H = min-next-event + L, lets every shard fire its local events with
+// t < H, and merges cross-shard sends at the barrier. An event executing
+// at τ ≥ min-next-event may schedule remotely only at τ' ≥ τ + L ≥ H, so
+// no remote event can land inside the window that produced it — the
 // Chandy/Misra conservative argument. Cross-shard sends buffer in
 // single-writer outboxes and merge in (timestamp, source shard, emission
 // index) order, so results are independent of goroutine scheduling and of
-// the shard count for shard-confined workloads.
+// the shard count for shard-confined workloads. The flat Engine stays the
+// machine stack's oracle.
 type ShardedEngine struct {
 	shards    []*Engine
 	nodeShard []int32
-	seq       uint64 // shared scheduling counter (lockstep mode)
 	now       Time
 	cur       int // shard receiving node-less schedules (last to fire)
 	probe     Probe
 
-	// Parallel-window state.
-	parallel  bool
+	// Window state.
 	lookahead Time
 	handles   []*Shard
 	started   bool
@@ -59,12 +44,14 @@ type ShardedEngine struct {
 	barriers    []func()
 }
 
-// RunMode selects how a parallel-capable ShardedEngine executes events.
+// RunMode selects how a ShardedEngine executes events.
 type RunMode int
 
 const (
 	// RunLockstep fires the globally minimal (time, sequence, shard)
-	// event one at a time on the caller's goroutine — the oracle order.
+	// event one at a time on the caller's goroutine: no windows, the
+	// oracle the window protocols are checked against on shard-confined
+	// workloads.
 	RunLockstep RunMode = iota
 	// RunWindowed executes the conservative window protocol — horizons,
 	// outbox merges, barrier hooks — single-threaded: shards take their
@@ -78,46 +65,32 @@ const (
 	RunParallel
 )
 
-// NewShardedEngine returns a lockstep sharded kernel: shards engines over
-// the given node→shard map. Results are bit-identical to a flat Engine
-// for every shard count, shards=1 included.
-func NewShardedEngine(shards int, nodeShard []int32) *ShardedEngine {
+// NewParallelEngine returns a sharded kernel over the given node→shard
+// map with the given conservative lookahead. Shards keep independent
+// sequence counters (workers must not contend on one), so ties at equal
+// timestamps resolve by (sequence, shard) under lockstep execution and by
+// the merge rule under the window protocols. Cross-shard scheduling goes
+// through Shard.Send and must respect the lookahead.
+func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEngine {
 	if shards < 1 {
-		panic(fmt.Sprintf("sim: NewShardedEngine(%d)", shards))
+		panic(fmt.Sprintf("sim: NewParallelEngine(%d shards)", shards))
 	}
-	se := &ShardedEngine{
-		shards:    make([]*Engine, shards),
-		nodeShard: nodeShard,
-	}
-	for i := range se.shards {
-		se.shards[i] = &Engine{seqp: &se.seq}
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: NewParallelEngine lookahead %v", lookahead))
 	}
 	for n, s := range nodeShard {
 		if int(s) < 0 || int(s) >= shards {
 			panic(fmt.Sprintf("sim: node %d mapped to shard %d of %d", n, s, shards))
 		}
 	}
-	return se
-}
-
-// NewParallelEngine returns a parallel-window sharded kernel with the
-// given conservative lookahead. Shards keep independent sequence
-// counters (workers must not contend on one), so ties at equal timestamps
-// resolve by (sequence, shard) under lockstep execution and by the merge
-// rule under RunParallel. Cross-shard scheduling goes through Shard.Send
-// and must respect the lookahead.
-func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEngine {
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("sim: NewParallelEngine lookahead %v", lookahead))
+	se := &ShardedEngine{
+		shards:    make([]*Engine, shards),
+		nodeShard: nodeShard,
+		lookahead: lookahead,
+		handles:   make([]*Shard, shards),
 	}
-	se := NewShardedEngine(shards, nodeShard)
-	se.parallel = true
-	se.lookahead = lookahead
-	for _, sh := range se.shards {
-		sh.seqp = nil // per-shard counters: windows assign seqs concurrently
-	}
-	se.handles = make([]*Shard, shards)
-	for i := range se.handles {
+	for i := range se.shards {
+		se.shards[i] = &Engine{}
 		se.handles[i] = &Shard{
 			se:  se,
 			id:  i,
@@ -131,8 +104,7 @@ func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEn
 // NumShards reports the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
-// Lookahead reports the conservative cross-shard bound (zero in lockstep
-// mode, which needs none).
+// Lookahead reports the conservative cross-shard bound.
 func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 
 // ShardOf reports the shard owning a node.
@@ -144,23 +116,12 @@ func (se *ShardedEngine) ShardOf(node int) int { return int(se.nodeShard[node]) 
 // from their handle.
 func (se *ShardedEngine) CurrentShard() int { return se.cur }
 
-// ShardHandle returns the handle workloads use to schedule on a shard in
-// parallel mode.
-func (se *ShardedEngine) ShardHandle(i int) *Shard {
-	if !se.parallel {
-		panic("sim: ShardHandle on a lockstep ShardedEngine")
-	}
-	return se.handles[i]
-}
+// ShardHandle returns the handle workloads use to schedule on a shard.
+func (se *ShardedEngine) ShardHandle(i int) *Shard { return se.handles[i] }
 
-// SetRunMode selects what Run executes. Window modes require a
-// parallel-capable engine (NewParallelEngine); a lockstep engine has no
-// outboxes or lookahead to run a window protocol with. The mode may be
-// changed between runs, never inside one.
+// SetRunMode selects what Run executes. The mode may be changed between
+// runs, never inside one.
 func (se *ShardedEngine) SetRunMode(m RunMode) {
-	if m != RunLockstep && !se.parallel {
-		panic("sim: window run modes need NewParallelEngine")
-	}
 	if se.running || se.inWindow {
 		panic("sim: SetRunMode inside a window")
 	}
@@ -258,8 +219,7 @@ func (se *ShardedEngine) ScheduleArg(delay Time, fn func(any), arg any) *Event {
 }
 
 // At runs fn at absolute time t on the current shard (the shard whose
-// event is executing, so self-rescheduling stays local). Which shard holds
-// an event never affects lockstep order — the shared counter does.
+// event is executing, so self-rescheduling stays local).
 //
 //simlint:hotpath
 func (se *ShardedEngine) At(t Time, fn func()) *Event {
@@ -323,9 +283,8 @@ func (se *ShardedEngine) route(shard int) *Engine {
 }
 
 // pickMin scans shard heaps for the globally minimal (time, sequence,
-// shard) key. In lockstep mode sequences are globally unique so the shard
-// index never decides; it only breaks ties between independent counters in
-// parallel-mode lockstep debugging runs.
+// shard) key; the shard index breaks ties between the independent
+// per-shard counters.
 func (se *ShardedEngine) pickMin() (shard int, at Time, ok bool) {
 	shard = -1
 	var bs uint64
@@ -399,7 +358,7 @@ func (se *ShardedEngine) RunUntil(deadline Time) uint64 {
 func (se *ShardedEngine) RunFor(d Time) uint64 { return se.RunUntil(se.now + d) }
 
 // SetProbe installs p behind a wrapper that reports the *global* pending
-// count, so probed runs observe exactly what a flat engine would.
+// count, the quantity a flat engine's probe observes.
 func (se *ShardedEngine) SetProbe(p Probe) {
 	se.probe = p
 	var w Probe
@@ -536,9 +495,6 @@ func (s *Shard) Send(node int, t Time, fn func(any), arg any) {
 //
 //simlint:shard-worker -- coordinator half of the window protocol: hands horizons to workers and barriers on their replies
 func (se *ShardedEngine) RunParallel() uint64 {
-	if !se.parallel {
-		panic("sim: RunParallel on a lockstep ShardedEngine")
-	}
 	if se.probe != nil {
 		panic("sim: RunParallel with a shared probe; use InstallShardStats")
 	}
@@ -598,9 +554,6 @@ func (se *ShardedEngine) RunParallel() uint64 {
 // effect rides the window machinery that the parallel mode exercises
 // under the race detector.
 func (se *ShardedEngine) RunWindowed() uint64 {
-	if !se.parallel {
-		panic("sim: RunWindowed on a lockstep ShardedEngine")
-	}
 	se.mode = RunWindowed
 	var fired uint64
 	for {

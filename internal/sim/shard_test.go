@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -13,18 +14,9 @@ type stormState struct {
 	rng    *RNG
 	nodes  int
 	budget int
-	log    []stormRecord
 }
 
-type stormRecord struct {
-	at   Time
-	id   uint64
-	pend int
-}
-
-func (s *stormState) fire(arg any) {
-	id := arg.(uint64)
-	s.log = append(s.log, stormRecord{at: s.k.Now(), id: id, pend: s.k.Pending()})
+func (s *stormState) fire(any) {
 	if s.budget <= 0 {
 		return
 	}
@@ -44,13 +36,12 @@ func (s *stormState) fire(arg any) {
 	}
 }
 
-func runStorm(k Kernel, nodes int, seed uint64) []stormRecord {
+func runStorm(k Kernel, nodes int, seed uint64) {
 	s := &stormState{k: k, rng: NewRNG(seed), nodes: nodes, budget: 4000}
 	for n := 0; n < nodes; n++ {
 		s.k.AtNodeArg(n, Time(n%13), s.fire, uint64(n))
 	}
 	k.Run()
-	return s.log
 }
 
 func stripedShards(nodes, shards int) []int32 {
@@ -61,74 +52,11 @@ func stripedShards(nodes, shards int) []int32 {
 	return m
 }
 
-// TestLockstepMatchesFlat is the tentpole invariant: a lockstep
-// ShardedEngine fires the exact event sequence of the flat Engine at
-// every shard count, cancellations and ties included.
-func TestLockstepMatchesFlat(t *testing.T) {
-	const nodes = 24
-	for _, seed := range []uint64{1, 7, 42, 1234567} {
-		want := runStorm(NewEngine(), nodes, seed)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: empty storm", seed)
-		}
-		for _, shards := range []int{1, 2, 3, 4, 7} {
-			got := runStorm(NewShardedEngine(shards, stripedShards(nodes, shards)), nodes, seed)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d shards %d: fired %d events, flat fired %d", seed, shards, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shards %d: event %d = %+v, flat %+v", seed, shards, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestShardedEngineBasics covers the kernel-surface parity details the
-// storm does not: clocks, counts, probes, RunUntil deadlines.
-func TestShardedEngineBasics(t *testing.T) {
-	se := NewShardedEngine(2, []int32{0, 0, 1, 1})
-	flat := NewEngine()
-	var seOrder, flatOrder []int
-	for _, k := range []struct {
-		kern  Kernel
-		order *[]int
-	}{{se, &seOrder}, {flat, &flatOrder}} {
-		kern, order := k.kern, k.order
-		for i, node := range []int{3, 0, 2, 1} {
-			i := i
-			kern.AtNode(node, Time(10), func() { *order = append(*order, i) })
-		}
-		kern.Schedule(5, func() { *order = append(*order, 99) })
-	}
-	if se.Pending() != 5 || flat.Pending() != 5 {
-		t.Fatalf("pending: sharded %d flat %d, want 5", se.Pending(), flat.Pending())
-	}
-	if n := se.RunUntil(7); n != 1 {
-		t.Fatalf("RunUntil(7) fired %d, want 1", n)
-	}
-	if se.Now() != 7 {
-		t.Fatalf("Now after RunUntil(7) = %v", se.Now())
-	}
-	flat.RunUntil(7)
-	se.Run()
-	flat.Run()
-	if len(seOrder) != len(flatOrder) {
-		t.Fatalf("order lengths differ: %v vs %v", seOrder, flatOrder)
-	}
-	for i := range seOrder {
-		if seOrder[i] != flatOrder[i] {
-			t.Fatalf("firing order %v, flat %v", seOrder, flatOrder)
-		}
-	}
-	if se.Fired() != flat.Fired() {
-		t.Fatalf("fired: sharded %d flat %d", se.Fired(), flat.Fired())
-	}
-}
-
-// TestShardedProbeMatchesFlat verifies the probe stream (including the
-// globally summed pending count) is identical between flat and sharded.
+// TestShardedProbeMatchesFlat: a probe on a lockstep sharded kernel sees
+// the flat engine's (time, global pending) stream on a storm with ties,
+// cross-shard schedules and cancellations. Ties may fire in a different
+// order across shards, but every draw the storm makes depends only on how
+// many events fired before it, so the observed stream may not change.
 func TestShardedProbeMatchesFlat(t *testing.T) {
 	type obs struct {
 		now  Time
@@ -143,7 +71,7 @@ func TestShardedProbeMatchesFlat(t *testing.T) {
 		return got
 	}
 	want := collect(NewEngine())
-	got := collect(NewShardedEngine(3, stripedShards(16, 3)))
+	got := collect(NewParallelEngine(3, stripedShards(16, 3), 1))
 	if len(want) != len(got) {
 		t.Fatalf("probe streams: %d vs %d observations", len(want), len(got))
 	}
@@ -154,6 +82,46 @@ func TestShardedProbeMatchesFlat(t *testing.T) {
 	}
 	if want[0].pend == 0 {
 		t.Fatal("probe saw no pending events; storm too small to be meaningful")
+	}
+}
+
+// TestShardedEngineBasics covers the kernel surface a sharded run shares
+// with the flat engine, under lockstep and windowed execution: global
+// pending counts (the probe observes them too), RunUntil deadlines,
+// clocks, and fired totals.
+func TestShardedEngineBasics(t *testing.T) {
+	for _, mode := range []RunMode{RunLockstep, RunWindowed} {
+		se := NewParallelEngine(2, []int32{0, 0, 1, 1}, 3)
+		se.SetRunMode(mode)
+		var order []int
+		for i, node := range []int{3, 0, 2, 1} {
+			se.AtNode(node, 10, func() { order = append(order, i) })
+		}
+		se.Schedule(5, func() { order = append(order, 99) })
+		if se.Pending() != 5 {
+			t.Fatalf("mode %d: pending %d, want 5", mode, se.Pending())
+		}
+		var pending []int
+		se.SetProbe(probeFunc(func(_ Time, p int) { pending = append(pending, p) }))
+		if n := se.RunUntil(7); n != 1 {
+			t.Fatalf("mode %d: RunUntil(7) fired %d, want 1", mode, n)
+		}
+		if se.Now() != 7 {
+			t.Fatalf("mode %d: Now after RunUntil(7) = %v", mode, se.Now())
+		}
+		if n := se.Run(); n != 4 {
+			t.Fatalf("mode %d: Run fired %d, want 4", mode, n)
+		}
+		if se.Now() != 10 || se.Fired() != 5 || se.Pending() != 0 {
+			t.Fatalf("mode %d: after Run now=%v fired=%d pending=%d, want 10/5/0",
+				mode, se.Now(), se.Fired(), se.Pending())
+		}
+		if len(order) != 5 || order[0] != 99 {
+			t.Fatalf("mode %d: firing order %v, want the t=5 event first and all five fired", mode, order)
+		}
+		if want := []int{4, 3, 2, 1, 0}; !slices.Equal(pending, want) {
+			t.Fatalf("mode %d: probe saw pending %v, want the global counts %v", mode, pending, want)
+		}
 	}
 }
 

@@ -205,7 +205,7 @@ func (g *GNI) conn(src, dst int) *smsgConn {
 // an event on the *sender's* node. That flight keeps every mutation of an
 // outbound credit window on the shard that owns the sender (the receive
 // side only launches the packet), which is what lets conservative windows
-// reproduce the lockstep credit protocol exactly: the control latency is
+// replay the flat engine's credit protocol exactly: the control latency is
 // never shorter than the shard lookahead, so the booking always lands at
 // or beyond the current window's barrier. If the sender starved while the
 // window was full, one EvCreditReturn notification is delivered to its
