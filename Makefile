@@ -20,14 +20,15 @@ vet:
 	$(GO) vet ./...
 
 # simlint: all seventeen analyzers (internal/analysis/simlint) — the five
-# determinism/kernel-discipline rules, the CFG/dataflow ownership rules
-# (poolleak, useafterrelease, hotpathalloc, closechain), the
-# points-to shard-ownership rules (shardescape, atomicshared,
-# singlewriter, windowsend), and the typestate protocol rules
-# (creditbalance, flightlifecycle, eventtotality, boundedretry). Zero
-# findings and zero unexplained or unused suppressions required; see
-# DESIGN.md §6 "Determinism rules" / "Ownership rules" /
-# "Shard-ownership rules" / "Protocol typestate rules".
+# determinism/kernel-discipline rules, the CFG/dataflow allocation rules
+# (hotpathalloc, closechain), the points-to shard-ownership rules
+# (shardescape, atomicshared, singlewriter, windowsend), and the
+# typestate rules: pool ownership (poolleak, useafterrelease) and the
+# protocols (creditbalance, flightlifecycle, eventtotality,
+# boundedretry). Zero findings and zero unexplained or unused
+# suppressions required; see DESIGN.md §6 "Determinism rules" /
+# "Ownership rules" / "Shard-ownership rules" / "Protocol typestate
+# rules".
 # `go run ./cmd/simlint -rules` prints the full rule book.
 lint:
 	$(GO) run ./cmd/simlint ./...

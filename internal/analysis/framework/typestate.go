@@ -10,11 +10,11 @@ import (
 
 // This file is the generic interprocedural typestate engine behind the
 // protoflow analyzer family (simlint: creditbalance, flightlifecycle,
-// boundedretry). A protocol is declared as a state machine — states,
-// plus transition verbs bound to source events (calls, field writes,
-// pool operations) by an analyzer-supplied classifier — and the engine
-// proves that every abstract record obeys it on every non-panicking
-// CFG path:
+// boundedretry) and the pool-ownership pair (poolleak, useafterrelease).
+// A protocol is declared as a state machine — states, plus transition
+// verbs bound to source events (calls, field writes, pool operations) by
+// an analyzer-supplied classifier — and the engine proves that every
+// abstract record obeys it on every non-panicking CFG path:
 //
 //   - Machine[S] declares the states, the (state, verb) → state rules,
 //     and the accepting (terminal) states. A verb fired in a state with
@@ -25,7 +25,7 @@ import (
 //     union). At function exit every tracked record must sit in an
 //     accepting state; a non-accepting state at Exit names a path that
 //     abandons the protocol. Panic paths route to PanicExit and are
-//     exempt, matching the ownership analyses.
+//     exempt.
 //   - Calls compose through per-function protocol summaries: for the
 //     engine's distinguished SummaryKey, SummaryExit(fn, s) solves the
 //     callee's CFG from entry state s and memoizes the exit-state set.
@@ -100,14 +100,18 @@ func (m *Machine[S]) Accepting(s S) bool { return m.accept[s] }
 //   - Callee != "": the node calls Callee (a callgraph FuncID); the
 //     engine folds Callee's summary for the engine's SummaryKey.
 //
-// Ops with a nil Key are ignored, so classifiers can emit
-// unconditionally.
+// Ops with a nil Key, and verbs for a Key with no record, are ignored,
+// so classifiers can emit unconditionally. Restamp makes a verb that
+// moves the record to a new state also move its position (the one exit
+// diagnostics report) to Pos: the op that created the obligation, not
+// the birth, then names it.
 type TsOp struct {
-	Key    any
-	Birth  bool
-	Verb   string
-	Callee string
-	Pos    token.Pos
+	Key     any
+	Birth   bool
+	Verb    string
+	Callee  string
+	Pos     token.Pos
+	Restamp bool
 }
 
 // TsViolation is one protocol violation: a verb fired in a state with no
@@ -264,6 +268,7 @@ func (t *Typestate[S]) transfer(fi *FuncInfo, f tsFact[S], n ast.Node, report fu
 			}
 			next := make(map[S]bool, len(cell.states))
 			wedged := false
+			pos := cell.pos
 			for _, s := range sortedTsStates(cell.states) {
 				to, ok := t.Machine.Step(s, op.Verb)
 				if !ok {
@@ -274,9 +279,12 @@ func (t *Typestate[S]) transfer(fi *FuncInfo, f tsFact[S], n ast.Node, report fu
 					next[s] = true
 					continue
 				}
+				if op.Restamp && to != s {
+					pos = op.Pos
+				}
 				next[to] = true
 			}
-			mutate(op.Key, &tsCell[S]{states: next, pos: cell.pos, wedged: wedged})
+			mutate(op.Key, &tsCell[S]{states: next, pos: pos, wedged: wedged})
 		}
 	})
 	return out

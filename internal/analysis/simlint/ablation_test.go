@@ -21,8 +21,9 @@ import (
 // design forbids: a worker-loop store to the coordinator's window
 // floor, a dropped atomic on the live-descriptor counter, a
 // second outbox producer, and a direct past-window send through the
-// coordinator. The next two rows automate PR 4's manual ablation on the
-// shipped machine layer: deleting a single descriptor Put, and deleting
+// coordinator. The next three rows seed ownership defects on the
+// shipped machine layer: deleting a single descriptor Put (PR 4's manual
+// ablation, automated), reading a descriptor after its Put, and deleting
 // a slab release from Layer.Close. The last three rows seed the protocol
 // defects the protoflow typestate family proves absent: severing the
 // credit drain from its EvCreditReturn dispatch, dropping the
@@ -91,6 +92,15 @@ func ablationRows() []ablationRow {
 			analyzer: "poolleak",
 		},
 		{
+			name: "descriptor read after its Put",
+			file: "internal/machine/ugnimachine/layer.go",
+			edits: []edit{{
+				old: "\t\tid := ack.id\n\t\tl.acks.Put(ack)\n",
+				new: "\t\tl.acks.Put(ack)\n\t\tid := ack.id\n",
+			}},
+			analyzer: "useafterrelease",
+		},
+		{
 			name: "deleted slab release in Close (PR 4 ablation, automated)",
 			file: "internal/machine/ugnimachine/layer.go",
 			edits: []edit{{
@@ -153,6 +163,7 @@ func TestMutationAblation(t *testing.T) {
 	for _, row := range ablationRows() {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
+			t.Parallel() // each row lints its own copy; the binary is read-only
 			dir := copyModule(t, repo)
 			mutateFile(t, filepath.Join(dir, row.file), row.edits, row.appendSrc)
 			out, code := runLint(t, bin, dir)

@@ -74,8 +74,6 @@ func runCloseChain(pass *framework.Pass) error {
 		return named, v
 	}
 
-	e := newOwnEngine(pass) // reuse the acquire/release call classifier
-
 	// closeOf returns the Close method declared on named, if any.
 	closeOf := func(named *types.Named) *types.Func {
 		for i := 0; i < named.NumMethods(); i++ {
@@ -91,7 +89,7 @@ func runCloseChain(pass *framework.Pass) error {
 	// with a Close method.
 	ownedCloser := func(rhs ast.Expr) *types.Func {
 		call, ok := rhs.(*ast.CallExpr)
-		if !ok || e.classify(call) != opNone {
+		if !ok || poolOp(pass, call) != "" {
 			return nil
 		}
 		t := pass.TypesInfo.Types[call].Type
@@ -110,7 +108,7 @@ func runCloseChain(pass *framework.Pass) error {
 
 	isSlabAcquire := func(rhs ast.Expr) bool {
 		call, ok := rhs.(*ast.CallExpr)
-		if !ok || e.classify(call) != opAcquire {
+		if !ok || poolOp(pass, call) != "acquire" {
 			return false
 		}
 		// FreeList.Get results are per-message descriptors (poolleak's
@@ -205,7 +203,7 @@ func runCloseChain(pass *framework.Pass) error {
 			case *ast.CompositeLit:
 				recordComposite(n)
 			case *ast.CallExpr:
-				if e.classify(n) == opRelease {
+				if poolOp(pass, n) == "release" {
 					for _, a := range n.Args {
 						if sel, ok := a.(*ast.SelectorExpr); ok {
 							if _, field := fieldOf(sel); field != nil {

@@ -164,7 +164,7 @@ func classifyFlight(c *protoCtx, ts *framework.Typestate[string], fi *framework.
 			}
 		case *ast.CallExpr:
 			// Put: the pool retirement verb.
-			if sel, ok := m.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {
+			if poolMethod(info, m) == "Put" {
 				for _, a := range m.Args {
 					if v, _ := flightVar(a); v != nil {
 						emit(framework.TsOp{Key: ts.RecordKey(v), Verb: "put", Pos: m.Pos()})

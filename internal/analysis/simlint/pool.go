@@ -4,20 +4,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 
 	"charmgo/internal/analysis/framework"
 )
 
-// This file is the shared ownership engine behind the poolleak and
-// useafterrelease analyzers: a forward dataflow over the framework CFG
-// tracking, per local variable, whether it *owns* a pooled value (must
-// release or transfer it), is *bound* to a pooled map entry (becomes
-// owning when the entry is deleted), or has been *released* (any further
-// use is a bug). DESIGN.md "Ownership rules" documents the vocabulary;
-// mem.FreeList / mem.SlabCache document the acquire/release surface.
+// This file is the pool-ownership typestate behind the poolleak and
+// useafterrelease analyzers: one framework.Machine, run per function by
+// one memoized framework.Typestate, over every local variable that some
+// acquire in the function targets. DESIGN.md §6 "Ownership rules"
+// documents the vocabulary; mem.FreeList / mem.SlabCache document the
+// acquire/release surface.
 //
-// Acquire sites (variable becomes owned):
+// Acquire sites (the variable is born owned):
 //   - x := pool.Get()            for a mem.FreeList or mem.SlabCache
 //   - x := f(...)                where f is annotated //simlint:acquire
 //   - x := v.(*T) / case *T:     where *T is pooled in this package
@@ -31,36 +30,78 @@ import (
 // call argument, storing it into a field/map/slice/composite/global,
 // returning it, sending it on a channel, capturing it in a closure, or
 // taking its address. Panic paths are exempt (CFG routes them to
-// PanicExit).
+// PanicExit). Records are keyed by *types.Var: the analysis is per local
+// and intraprocedural.
 
-// Variable ownership state bits.
-const (
-	stBound    uint8 = 1 << iota // bound to a pooled-elem map entry
-	stOwned                      // owns a pooled value: must release or transfer
-	stReleased                   // released back to the pool: must not be used
-)
-
-// vstate is one variable's ownership fact. pos is the acquire site (or
-// the delete that promoted a bound entry to owned); rel the release site.
-type vstate struct {
-	bits uint8
-	pos  token.Pos
-	m    types.Object // map object the variable is bound to (stBound)
-	rel  token.Pos
+// poolMachine declares one variable's ownership protocol:
+//
+//	free  --acquire--> owned   --release--> released
+//	free  --bind-----> bound   --delete---> owned (the entry left its map)
+//	owned, bound --transfer--> moved;  bound --release--> released
+//
+// free (never acquired, or rebound to a non-pooled value) and moved
+// carry no obligation, so transfer and release loop there; use loops on
+// every state except released, and delete on every state except bound.
+// Owned is the one state a record may not be in at function exit.
+func poolMachine() *framework.Machine[string] {
+	m := framework.NewMachine("pool", "free").
+		Rule("free", "acquire", "owned").
+		Rule("free", "bind", "bound").
+		Rule("bound", "delete", "owned").
+		Accept("free", "bound", "moved", "released")
+	for _, s := range []string{"owned", "bound"} {
+		m.Rule(s, "transfer", "moved").Rule(s, "release", "released")
+	}
+	for _, s := range []string{"free", "moved"} {
+		m.Rule(s, "transfer", s).Rule(s, "release", s)
+	}
+	for _, s := range []string{"free", "owned", "bound", "moved"} {
+		m.Rule(s, "use", s)
+	}
+	for _, s := range []string{"free", "owned", "moved", "released"} {
+		m.Rule(s, "delete", s)
+	}
+	return m
 }
 
-// ownFact maps each tracked local to its state. Facts are treated as
-// immutable by the solver; the transfer function copies on first write.
-type ownFact map[*types.Var]vstate
-
-// ownEngine ties the transfer function to one pass's type information.
-type ownEngine struct {
-	pass   *framework.Pass
-	pooled map[*types.TypeName]bool
+// poolEngine builds (once per Run) the ownership typestate both
+// analyzers share.
+func poolEngine(pass *framework.Pass) *framework.Typestate[string] {
+	return pass.Prog.Memo("pool-engine", func() any {
+		scans := make(map[*framework.FuncInfo]*poolScan)
+		return &framework.Typestate[string]{
+			Machine:  poolMachine(),
+			Analyzer: pass.Analyzer,
+			Prog:     pass.Prog,
+			Classify: func(fi *framework.FuncInfo, n ast.Node, emit func(framework.TsOp)) {
+				s := scans[fi]
+				if s == nil {
+					s = newPoolScan(fi)
+					scans[fi] = s
+				}
+				s.emit = emit
+				s.node(n)
+			},
+		}
+	}).(*framework.Typestate[string])
 }
 
-func newOwnEngine(pass *framework.Pass) *ownEngine {
-	return &ownEngine{pass: pass, pooled: pooledElems(pass)}
+// poolViolations runs the ownership machine over every non-test function
+// of an in-scope package, handing each violation and its variable's
+// name to report.
+func poolViolations(pass *framework.Pass, report func(v framework.TsViolation, name string)) {
+	if !simulationScope(pass.PkgPath) {
+		return
+	}
+	ts := poolEngine(pass)
+	for _, fi := range pass.Functions() {
+		if isTestFile(pass, fi.Pos()) {
+			continue
+		}
+		for _, v := range ts.Analyze(fi, nil, nil) {
+			report(v, v.Key.(*types.Var).Name())
+		}
+	}
 }
 
 // pooledElems collects the element types T pooled through a
@@ -97,28 +138,6 @@ func pooledElems(pass *framework.Pass) map[*types.TypeName]bool {
 	return out
 }
 
-// pooledPtr reports whether t is *T for a T pooled in this package.
-func (e *ownEngine) pooledPtr(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && e.pooled[named.Obj()]
-}
-
-// poolOp classifies a call's effect on ownership.
-type poolOp int
-
-const (
-	opNone    poolOp = iota
-	opAcquire        // FreeList/SlabCache Get, or //simlint:acquire
-	opRelease        // FreeList/SlabCache Put, or //simlint:release
-)
-
 // calleeOf resolves the declared function a call invokes (nil for
 // builtins, function values, and calls it cannot see through).
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -147,30 +166,43 @@ func recvNamed(fn *types.Func) *types.Named {
 	return named
 }
 
-func (e *ownEngine) classify(call *ast.CallExpr) poolOp {
-	fn := calleeOf(e.pass.TypesInfo, call)
+// poolMethod names the mem.FreeList / mem.SlabCache method a call
+// invokes ("Get", "Put", ...), or "" for any other callee. It is the
+// one definition of a pool operation: the ownership machine and
+// flightlifecycle's retirement verb both read it.
+func poolMethod(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeOf(info, call)
 	if fn == nil {
-		return opNone
+		return ""
 	}
-	if recv := recvNamed(fn); recv != nil && recv.Obj().Pkg() != nil &&
-		recv.Obj().Pkg().Name() == "mem" {
-		switch recv.Obj().Name() {
-		case "FreeList", "SlabCache":
-			switch fn.Name() {
-			case "Get":
-				return opAcquire
-			case "Put":
-				return opRelease
+	recv := recvNamed(fn)
+	if recv == nil || recv.Obj().Pkg() == nil || recv.Obj().Pkg().Name() != "mem" {
+		return ""
+	}
+	switch recv.Obj().Name() {
+	case "FreeList", "SlabCache":
+		return fn.Name()
+	}
+	return ""
+}
+
+// poolOp classifies a call's effect on ownership: "acquire" (pool Get,
+// //simlint:acquire), "release" (pool Put, //simlint:release), or "".
+func poolOp(pass *framework.Pass, call *ast.CallExpr) string {
+	switch poolMethod(pass.TypesInfo, call) {
+	case "Get":
+		return "acquire"
+	case "Put":
+		return "release"
+	}
+	if fn := calleeOf(pass.TypesInfo, call); fn != nil {
+		for _, verb := range []string{"acquire", "release"} {
+			if pass.Prog.FuncAnnotated(fn, verb) {
+				return verb
 			}
 		}
 	}
-	if e.pass.Prog.FuncAnnotated(fn, "acquire") {
-		return opAcquire
-	}
-	if e.pass.Prog.FuncAnnotated(fn, "release") {
-		return opRelease
-	}
-	return opNone
+	return ""
 }
 
 // localVar resolves an assignment target to a trackable local variable
@@ -206,132 +238,100 @@ func exprObj(pass *framework.Pass, x ast.Expr) types.Object {
 	return nil
 }
 
-// transfer is the dataflow transfer function over one CFG block node.
-func (e *ownEngine) transfer(in ownFact, n ast.Node) ownFact {
-	s := &ownScan{e: e, out: in}
-	s.node(n)
-	return s.out
+// poolScan is the ownership classifier of one function. A first walk
+// over the whole body (newPoolScan) records which variables some acquire
+// or bind targets and which pooled-element map each was bound from;
+// later walks over single CFG nodes emit the machine's operations.
+type poolScan struct {
+	pass   *framework.Pass
+	pooled map[*types.TypeName]bool
+	emit   func(framework.TsOp)
+
+	owners map[*types.Var]bool           // targets of some acquire or bind
+	bound  map[types.Object][]*types.Var // pooled-element map -> locals bound from it
 }
 
-func (e *ownEngine) join(a, b ownFact) ownFact {
-	out := make(ownFact, len(a)+len(b))
-	for v, st := range a {
-		out[v] = st
+func newPoolScan(fi *framework.FuncInfo) *poolScan {
+	s := &poolScan{
+		pass:   fi.Pass,
+		pooled: pooledElems(fi.Pass),
+		emit:   func(framework.TsOp) {},
+		owners: make(map[*types.Var]bool),
+		bound:  make(map[types.Object][]*types.Var),
 	}
-	for v, st := range b {
-		if cur, ok := out[v]; ok {
-			out[v] = mergeState(cur, st)
-		} else {
-			out[v] = st
-		}
-	}
-	return out
+	s.walk(fi.Body())
+	return s
 }
 
-// mergeState unions path states: bits OR, earliest positions win, the
-// established map binding wins. Monotone, so the fixpoint terminates.
-func mergeState(a, b vstate) vstate {
-	a.bits |= b.bits
-	if b.pos != token.NoPos && (a.pos == token.NoPos || b.pos < a.pos) {
-		a.pos = b.pos
+// op emits verb for v; variables that never held a pooled value have no
+// cell, so the engine ignores their uses.
+func (s *poolScan) op(v *types.Var, verb string, pos token.Pos) {
+	if v != nil {
+		s.emit(framework.TsOp{Key: v, Verb: verb, Pos: pos})
 	}
-	if b.rel != token.NoPos && (a.rel == token.NoPos || b.rel < a.rel) {
-		a.rel = b.rel
-	}
-	if a.m == nil {
-		a.m = b.m
-	}
-	return a
 }
 
-func (e *ownEngine) equal(a, b ownFact) bool {
-	if len(a) != len(b) {
+// ident resolves a variable reference (nil otherwise).
+func (s *poolScan) ident(id *ast.Ident) *types.Var {
+	v, _ := s.pass.TypesInfo.Uses[id].(*types.Var)
+	return v
+}
+
+// pooledPtr reports whether t is *T for a T pooled in this package.
+func (s *poolScan) pooledPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
 		return false
 	}
-	for v, st := range a {
-		if b[v] != st {
-			return false
-		}
-	}
-	return true
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && s.pooled[named.Obj()]
 }
 
-// ownScan applies one node's ownership effects, copying the fact on the
-// first write.
-type ownScan struct {
-	e      *ownEngine
-	out    ownFact
-	cloned bool
-}
-
-func (s *ownScan) mutable() {
-	if s.cloned {
-		return
-	}
-	cp := make(ownFact, len(s.out)+1)
-	for k, v := range s.out {
-		cp[k] = v
-	}
-	s.out = cp
-	s.cloned = true
-}
-
-func (s *ownScan) set(v *types.Var, st vstate) {
-	if cur, ok := s.out[v]; ok && cur == st {
-		return
-	}
-	s.mutable()
-	s.out[v] = st
-}
-
-func (s *ownScan) drop(v *types.Var) {
-	if _, ok := s.out[v]; !ok {
-		return
-	}
-	s.mutable()
-	delete(s.out, v)
-}
-
-// consume transfers ownership out of v (call argument, store, return,
-// send, capture). The released marker survives: using a released value
-// anywhere stays a bug.
-func (s *ownScan) consume(v *types.Var) {
-	st, ok := s.out[v]
-	if !ok {
-		return
-	}
-	st.bits &^= stOwned | stBound
-	if st.bits == 0 {
-		s.drop(v)
-		return
-	}
-	s.set(v, st)
-}
-
-// node processes one CFG block node, honoring the block granularity
-// contract: a RangeStmt stands for its range operands, a type-switch
-// CaseClause for its per-case binding.
-func (s *ownScan) node(n ast.Node) {
+// node classifies one CFG block node, honoring the block granularity
+// contract: a RangeStmt stands for its header, a type-switch CaseClause
+// for its per-case binding.
+func (s *poolScan) node(n ast.Node) {
 	switch n := n.(type) {
 	case *ast.RangeStmt:
-		s.walk(n.X)
-	case *ast.CaseClause:
-		if v, ok := s.e.pass.TypesInfo.Implicits[n].(*types.Var); ok && s.e.pooledPtr(v.Type()) {
-			s.set(v, vstate{bits: stOwned, pos: n.Pos()})
+		for _, e := range []ast.Expr{n.X, n.Key, n.Value} {
+			s.walk(e)
 		}
+	case *ast.CaseClause:
+		s.caseBinding(n)
 	default:
 		s.walk(n)
 	}
 }
 
+// caseBinding acquires a type-switch clause's binding of a pooled type.
+func (s *poolScan) caseBinding(n *ast.CaseClause) {
+	if v, ok := s.pass.TypesInfo.Implicits[n].(*types.Var); ok && s.pooledPtr(v.Type()) {
+		s.born(v, "acquire", n.Pos(), nil)
+	}
+}
+
+// born starts a fresh record for v, acquired or (verb "bind") bound from
+// the pooled-element map m.
+func (s *poolScan) born(v *types.Var, verb string, pos token.Pos, m types.Object) {
+	s.owners[v] = true
+	if m != nil && !slices.Contains(s.bound[m], v) {
+		s.bound[m] = append(s.bound[m], v)
+	}
+	s.emit(framework.TsOp{Key: v, Birth: true, Pos: pos})
+	s.op(v, verb, pos)
+}
+
 // walk descends a node, handling every ownership-relevant construct and
-// recursing generically through the rest.
-func (s *ownScan) walk(root ast.Node) {
+// recursing generically through the rest; any other variable reference
+// is a use.
+func (s *poolScan) walk(root ast.Node) {
 	if root == nil {
 		return
 	}
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.Ident:
+			s.op(s.ident(n), "use", n.Pos())
 		case *ast.AssignStmt:
 			s.assign(n)
 			return false
@@ -343,48 +343,55 @@ func (s *ownScan) walk(root ast.Node) {
 			return false
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				s.consumeOrWalk(r)
+				s.transferOrWalk(r)
 			}
 			return false
 		case *ast.SendStmt:
 			s.walk(n.Chan)
-			s.consumeOrWalk(n.Value)
+			s.transferOrWalk(n.Value)
 			return false
 		case *ast.CompositeLit:
 			for _, el := range n.Elts {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					s.consumeOrWalk(kv.Value)
-				} else {
-					s.consumeOrWalk(el)
+					s.walk(kv.Key)
+					el = kv.Value
 				}
+				s.transferOrWalk(el)
 			}
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				s.consumeOrWalk(n.X)
+				s.transferOrWalk(n.X)
 				return false
 			}
 		case *ast.FuncLit:
-			s.captures(n)
+			// The closure may keep or release anything it captures.
+			ast.Inspect(n.Body, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok {
+					s.op(s.ident(id), "transfer", id.Pos())
+				}
+				return true
+			})
 			return false
+		case *ast.CaseClause:
+			// Reached only by newPoolScan's whole-body walk.
+			s.caseBinding(n)
 		}
 		return true
 	})
 }
 
-// consumeOrWalk treats a bare tracked identifier as an ownership
-// transfer; anything else is scanned for nested effects.
-func (s *ownScan) consumeOrWalk(x ast.Expr) {
+// transferOrWalk treats a bare variable as an ownership transfer;
+// anything else is scanned for nested effects.
+func (s *poolScan) transferOrWalk(x ast.Expr) {
 	if id, ok := x.(*ast.Ident); ok {
-		if v, ok := s.e.pass.TypesInfo.Uses[id].(*types.Var); ok {
-			s.consume(v)
-			return
-		}
+		s.op(s.ident(id), "transfer", id.Pos())
+		return
 	}
 	s.walk(x)
 }
 
-func (s *ownScan) assign(n *ast.AssignStmt) {
+func (s *poolScan) assign(n *ast.AssignStmt) {
 	switch {
 	case len(n.Lhs) == len(n.Rhs):
 		for i := range n.Rhs {
@@ -395,29 +402,26 @@ func (s *ownScan) assign(n *ast.AssignStmt) {
 		// targets (ok / multi-return results) are plain overwrites.
 		s.assignPair(n.Lhs[0], n.Rhs[0])
 		for _, l := range n.Lhs[1:] {
-			if v := localVar(s.e.pass, l); v != nil {
-				s.drop(v)
-			}
+			s.rebind(l)
 		}
 	}
 }
 
-func (s *ownScan) valueSpec(n *ast.ValueSpec) {
-	if len(n.Values) == len(n.Names) {
+func (s *poolScan) valueSpec(n *ast.ValueSpec) {
+	switch {
+	case len(n.Values) == len(n.Names):
 		for i := range n.Values {
 			s.assignPair(n.Names[i], n.Values[i])
 		}
-		return
-	}
-	if len(n.Values) == 1 && len(n.Names) > 1 {
+	case len(n.Values) == 1:
 		s.assignPair(n.Names[0], n.Values[0])
 	}
 }
 
-func (s *ownScan) assignPair(lhs, rhs ast.Expr) {
-	if st, ok := s.acquire(rhs); ok {
-		if v := localVar(s.e.pass, lhs); v != nil {
-			s.set(v, st)
+func (s *poolScan) assignPair(lhs, rhs ast.Expr) {
+	if verb, m := s.source(rhs); verb != "" {
+		if v := localVar(s.pass, lhs); v != nil {
+			s.born(v, verb, rhs.Pos(), m)
 			return
 		}
 		// Acquire stored straight into a field/map/slice: ownership lives
@@ -425,145 +429,86 @@ func (s *ownScan) assignPair(lhs, rhs ast.Expr) {
 		s.walk(lhs)
 		return
 	}
-	s.consumeOrWalk(rhs)
-	if v := localVar(s.e.pass, lhs); v != nil {
-		s.drop(v) // rebinding replaces whatever the variable held
+	s.transferOrWalk(rhs)
+	s.rebind(lhs)
+}
+
+// rebind handles an assignment target that receives a non-pooled value:
+// a tracked variable starts a fresh record in the start state. The
+// record carries no position, so on a join the other path's acquire
+// site names it.
+func (s *poolScan) rebind(lhs ast.Expr) {
+	if v := localVar(s.pass, lhs); v != nil {
+		if s.owners[v] {
+			s.emit(framework.TsOp{Key: v, Birth: true})
+		}
 		return
 	}
 	s.walk(lhs)
 }
 
-// acquire classifies an assignment RHS as an ownership source.
-func (s *ownScan) acquire(rhs ast.Expr) (vstate, bool) {
+// source classifies an assignment RHS as an ownership source: "acquire",
+// or "bind" with the pooled-element map looked up. Its operands are
+// walked for uses; a non-source RHS is left to the caller.
+func (s *poolScan) source(rhs ast.Expr) (verb string, m types.Object) {
+	info := s.pass.TypesInfo
 	switch rhs := rhs.(type) {
 	case *ast.CallExpr:
-		if s.e.classify(rhs) == opAcquire {
+		if poolOp(s.pass, rhs) == "acquire" {
 			s.walk(rhs.Fun)
 			for _, a := range rhs.Args {
 				s.walk(a)
 			}
-			return vstate{bits: stOwned, pos: rhs.Pos()}, true
+			return "acquire", nil
 		}
 	case *ast.TypeAssertExpr:
-		if rhs.Type == nil { // x.(type) inside a type switch: per-case binding
-			return vstate{}, false
-		}
-		if s.e.pooledPtr(s.e.pass.TypesInfo.Types[rhs.Type].Type) {
-			return vstate{bits: stOwned, pos: rhs.Pos()}, true
+		// Type == nil is x.(type) heading a type switch: the per-case
+		// bindings are the acquires.
+		if rhs.Type != nil && s.pooledPtr(info.Types[rhs.Type].Type) {
+			s.walk(rhs.X)
+			return "acquire", nil
 		}
 	case *ast.IndexExpr:
-		t := s.e.pass.TypesInfo.Types[rhs.X].Type
-		if t == nil {
-			return vstate{}, false
-		}
-		if mt, ok := t.Underlying().(*types.Map); ok && s.e.pooledPtr(mt.Elem()) {
-			if mObj := exprObj(s.e.pass, rhs.X); mObj != nil {
-				return vstate{bits: stBound, pos: rhs.Pos(), m: mObj}, true
+		if t := info.Types[rhs.X].Type; t != nil {
+			if mt, ok := t.Underlying().(*types.Map); ok && s.pooledPtr(mt.Elem()) {
+				if m := exprObj(s.pass, rhs.X); m != nil {
+					s.walk(rhs.X)
+					s.walk(rhs.Index)
+					return "bind", m
+				}
 			}
 		}
 	}
-	return vstate{}, false
+	return "", nil
 }
 
-func (s *ownScan) call(n *ast.CallExpr) {
+func (s *poolScan) call(n *ast.CallExpr) {
 	if id, ok := n.Fun.(*ast.Ident); ok {
-		if b, ok := s.e.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+		if b, ok := s.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			if b.Name() == "delete" && len(n.Args) == 2 {
+				// The entry leaves the map: every variable bound from it
+				// now owns its record, which is named from here on.
 				s.walk(n.Args[1])
-				if mObj := exprObj(s.e.pass, n.Args[0]); mObj != nil {
-					s.activateBound(mObj, n.Pos())
+				for _, v := range s.bound[exprObj(s.pass, n.Args[0])] {
+					s.emit(framework.TsOp{Key: v, Verb: "delete", Pos: n.Pos(), Restamp: true})
 				}
 				return
 			}
-			// Other builtins (append, panic, print...) consume pooled
+			// Other builtins (append, panic, print...) take pooled
 			// arguments like ordinary calls; len/cap cannot take one.
 			for _, a := range n.Args {
-				s.consumeOrWalk(a)
+				s.transferOrWalk(a)
 			}
 			return
 		}
 	}
-	op := s.e.classify(n)
+	verb := poolOp(s.pass, n)
 	s.walk(n.Fun)
 	for _, a := range n.Args {
-		if op == opRelease {
-			s.release(a, n.Pos())
+		if id, ok := a.(*ast.Ident); ok && verb == "release" {
+			s.op(s.ident(id), "release", id.Pos())
 			continue
 		}
-		s.consumeOrWalk(a)
+		s.transferOrWalk(a)
 	}
-}
-
-func (s *ownScan) release(a ast.Expr, pos token.Pos) {
-	if id, ok := a.(*ast.Ident); ok {
-		if v, ok := s.e.pass.TypesInfo.Uses[id].(*types.Var); ok {
-			if st, tracked := s.out[v]; tracked {
-				st.bits = stReleased
-				st.rel = pos
-				s.set(v, st)
-				return
-			}
-		}
-	}
-	s.walk(a)
-}
-
-// activateBound promotes every variable bound to m into sole ownership:
-// the map entry is gone, so the pointer the lookup returned must now be
-// released or transferred.
-func (s *ownScan) activateBound(m types.Object, pos token.Pos) {
-	var promote []*types.Var
-	for v, st := range s.out {
-		if st.bits&stBound != 0 && st.m == m {
-			promote = append(promote, v)
-		}
-	}
-	for _, v := range promote {
-		st := s.out[v]
-		st.bits = st.bits&^stBound | stOwned
-		st.pos = pos
-		s.set(v, st)
-	}
-}
-
-// captures consumes every tracked variable a function literal closes
-// over: the closure may keep or release it at any later time.
-func (s *ownScan) captures(lit *ast.FuncLit) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v, ok := s.e.pass.TypesInfo.Uses[id].(*types.Var); ok {
-				s.consume(v)
-			}
-		}
-		return true
-	})
-}
-
-// solve runs the ownership dataflow over one function, returning the
-// engine and flow result (nil engine when the function is skipped).
-func solveOwnership(pass *framework.Pass, fi *framework.FuncInfo) (*ownEngine, *framework.FlowResult[ownFact], *framework.CFG) {
-	cfg := fi.CFG()
-	if cfg == nil {
-		return nil, nil, nil
-	}
-	e := newOwnEngine(pass)
-	res := framework.Forward(cfg, ownFact{}, e.transfer, e.join, e.equal)
-	return e, &res, cfg
-}
-
-// sortedStates returns a fact's entries ordered by acquire position, for
-// deterministic reporting.
-func sortedStates(f ownFact) []*types.Var {
-	vars := make([]*types.Var, 0, len(f))
-	for v := range f {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool {
-		a, b := f[vars[i]], f[vars[j]]
-		if a.pos != b.pos {
-			return a.pos < b.pos
-		}
-		return vars[i].Name() < vars[j].Name()
-	})
-	return vars
 }

@@ -15,6 +15,9 @@ import (
 // on an error path drains the pool and silently degrades the modeled
 // steady state into allocation churn.
 //
+// In the ownership machine (pool.go) a leak is a variable that may
+// still be "owned" at function exit.
+//
 // Scope limit: the analysis is intraprocedural, tracking values from
 // their acquire site. A pooled value received as a parameter is borrowed
 // — the release obligation was transferred by the caller at the call —
@@ -32,27 +35,12 @@ var PoolLeak = &framework.Analyzer{
 }
 
 func runPoolLeak(pass *framework.Pass) error {
-	if !simulationScope(pass.PkgPath) {
-		return nil
-	}
-	for _, fi := range pass.Functions() {
-		if isTestFile(pass, fi.Pos()) {
-			continue
-		}
-		_, res, cfg := solveOwnership(pass, fi)
-		if res == nil || !res.Reached[cfg.Exit.Index] {
-			continue // unsupported body, or no normal completion
-		}
-		exit := res.In[cfg.Exit.Index]
-		for _, v := range sortedStates(exit) {
-			st := exit[v]
-			if st.bits&stOwned == 0 {
-				continue
-			}
-			pass.Reportf(st.pos,
+	poolViolations(pass, func(v framework.TsViolation, name string) {
+		if v.Exit {
+			pass.Reportf(v.Pos,
 				"pooled value %s may leak: owned here but neither released (Put) nor "+
-					"transferred on some path to return", v.Name())
+					"transferred on some path to return", name)
 		}
-	}
+	})
 	return nil
 }

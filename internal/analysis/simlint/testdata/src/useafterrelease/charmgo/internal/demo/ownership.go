@@ -83,3 +83,24 @@ func compositeAfterPut() holder {
 	pool.Put(r)
 	return holder{r: r} // want `use of pooled value r after it was released`
 }
+
+// readAfterPutOnOnePath reads a record that one incoming path released:
+// a use refused on some path is reported, even if another path still
+// owns the record.
+func readAfterPutOnOnePath(done bool) int {
+	r := pool.Get()
+	if done {
+		pool.Put(r)
+	}
+	return r.id // want `use of pooled value r after it was released`
+}
+
+// putAgainOnOnePath releases a record that one incoming path already
+// released.
+func putAgainOnOnePath(done bool) {
+	r := pool.Get()
+	if done {
+		pool.Put(r)
+	}
+	pool.Put(r) // want `pooled value r released twice`
+}

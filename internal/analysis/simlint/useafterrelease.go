@@ -1,9 +1,6 @@
 package simlint
 
 import (
-	"go/ast"
-	"go/types"
-
 	"charmgo/internal/analysis/framework"
 )
 
@@ -15,6 +12,9 @@ import (
 // pool discipline (§V.B) invites. The extract-fields-then-Put idiom
 // (read everything you need into locals, release, continue with the
 // locals) is the sanctioned shape and passes clean.
+//
+// In the ownership machine (pool.go) these are the verbs refused in the
+// "released" state: a use or transfer, or a second release.
 var UseAfterRelease = &framework.Analyzer{
 	Name: "useafterrelease",
 	Doc: "forbid using a pooled value after the Put/release that returned it to " +
@@ -23,116 +23,18 @@ var UseAfterRelease = &framework.Analyzer{
 }
 
 func runUseAfterRelease(pass *framework.Pass) error {
-	if !simulationScope(pass.PkgPath) {
-		return nil
-	}
-	for _, fi := range pass.Functions() {
-		if isTestFile(pass, fi.Pos()) {
-			continue
+	poolViolations(pass, func(v framework.TsViolation, name string) {
+		if v.Exit || v.State != "released" {
+			return
 		}
-		e, res, cfg := solveOwnership(pass, fi)
-		if res == nil {
-			continue
+		if v.Verb == "release" {
+			pass.Reportf(v.Pos,
+				"pooled value %s released twice: it was already returned to its pool", name)
+			return
 		}
-		// Replay each reached block from its fixpoint entry fact, checking
-		// every node against the state *before* its own effects apply (so
-		// the releasing Put itself is not a use).
-		for _, blk := range cfg.Blocks {
-			if !res.Reached[blk.Index] || blk == cfg.PanicExit {
-				continue
-			}
-			f := res.In[blk.Index]
-			for _, n := range blk.Nodes {
-				checkReleasedUses(pass, e, f, n)
-				f = e.transfer(f, n)
-			}
-		}
-	}
+		pass.Reportf(v.Pos,
+			"use of pooled value %s after it was released: the pool may have "+
+				"recycled it into another record", name)
+	})
 	return nil
-}
-
-// checkReleasedUses reports reads of released variables within one block
-// node. Plain overwrites (the variable as an assignment target) rebind it
-// and are fine; a released variable as the argument of another release
-// call is a double Put.
-func checkReleasedUses(pass *framework.Pass, e *ownEngine, f ownFact, node ast.Node) {
-	released := func(id *ast.Ident) (*types.Var, bool) {
-		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok {
-			return nil, false
-		}
-		st, tracked := f[v]
-		return v, tracked && st.bits&stReleased != 0 && st.bits&stOwned == 0
-	}
-
-	// Targets rebound by assignment in this node: not uses.
-	rebound := make(map[*ast.Ident]bool)
-	// Idents that are arguments of a release call: double-release sites.
-	rereleased := make(map[*ast.Ident]bool)
-
-	roots := granularityRoots(node)
-	for _, root := range roots {
-		ast.Inspect(root, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
-					if id, ok := l.(*ast.Ident); ok {
-						rebound[id] = true
-					}
-				}
-			case *ast.CallExpr:
-				if e.classify(n) == opRelease {
-					for _, a := range n.Args {
-						if id, ok := a.(*ast.Ident); ok {
-							rereleased[id] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	for _, root := range roots {
-		ast.Inspect(root, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			v, isReleased := released(id)
-			if !isReleased || rebound[id] {
-				return true
-			}
-			if rereleased[id] {
-				pass.Reportf(id.Pos(),
-					"pooled value %s released twice: it was already returned to its pool", v.Name())
-				return true
-			}
-			pass.Reportf(id.Pos(),
-				"use of pooled value %s after it was released: the pool may have "+
-					"recycled it into another record", v.Name())
-			return true
-		})
-	}
-}
-
-// granularityRoots expands a block node into the subtrees that actually
-// execute there, per the CFG node-granularity contract.
-func granularityRoots(n ast.Node) []ast.Node {
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		var out []ast.Node
-		for _, e := range []ast.Expr{n.X, n.Key, n.Value} {
-			if e != nil {
-				out = append(out, e)
-			}
-		}
-		return out
-	case *ast.CaseClause:
-		var out []ast.Node
-		for _, e := range n.List {
-			out = append(out, e)
-		}
-		return out
-	}
-	return []ast.Node{n}
 }
