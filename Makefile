@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke bench-json profile profile-shard alloc-gate ns-gate
+.PHONY: build test test-race vet lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke fuzz-smoke bench-json profile profile-shard alloc-gate ns-gate
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,13 @@ resilience-matrix:
 bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
+
+# Ten seconds of coverage-guided fuzzing of GapResource against its linear
+# reference under a forward-only clock. `go test` runs only the checked-in
+# corpus (internal/sim/testdata/fuzz/FuzzGapResource); a failing input
+# found here is written there and becomes a regression case.
+fuzz-smoke:
+	$(GO) test -run - -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
 
 # Full benchmark suite (figure wall-clock flat and windowed + shardscale
 # kernel scaling + kernel microbenchmarks + recovery-strategy killed

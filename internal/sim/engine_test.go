@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -417,73 +416,6 @@ func TestGapResourceNeverOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// linearGap is the reference gap-filling implementation (the old sorted
-// slice): the treap must book bit-identically against it.
-type linearGap struct{ iv []struct{ s, e Time } }
-
-func (l *linearGap) acquire(at, dur Time) (Time, Time) {
-	pos := at
-	i := sort.Search(len(l.iv), func(i int) bool { return l.iv[i].e > at })
-	for ; i < len(l.iv); i++ {
-		if l.iv[i].s-pos >= dur {
-			break
-		}
-		if l.iv[i].e > pos {
-			pos = l.iv[i].e
-		}
-	}
-	s, e := pos, pos+dur
-	if dur > 0 {
-		j := sort.Search(len(l.iv), func(i int) bool { return l.iv[i].s >= s })
-		switch {
-		case j > 0 && l.iv[j-1].e == s:
-			l.iv[j-1].e = e
-			if j < len(l.iv) && l.iv[j].s == e {
-				l.iv[j-1].e = l.iv[j].e
-				l.iv = append(l.iv[:j], l.iv[j+1:]...)
-			}
-		case j < len(l.iv) && l.iv[j].s == e:
-			l.iv[j].s = s
-		default:
-			l.iv = append(l.iv, struct{ s, e Time }{})
-			copy(l.iv[j+1:], l.iv[j:])
-			l.iv[j] = struct{ s, e Time }{s, e}
-		}
-	}
-	return s, e
-}
-
-// TestGapResourceMatchesLinearReference drives the treap and the
-// reference slice implementation with identical random request streams
-// (including clock advancement and pruning on the treap side) and
-// requires identical bookings — the refactor's bit-identical guarantee.
-func TestGapResourceMatchesLinearReference(t *testing.T) {
-	rng := NewRNG(12345)
-	var now Time
-	r := NewGapResource(Lit("x"), func() Time { return now })
-	ref := &linearGap{}
-	for op := 0; op < 20000; op++ {
-		at := now + Time(rng.Intn(2000))
-		dur := Time(rng.Intn(50))
-		s1, e1 := r.Acquire(at, dur)
-		s2, e2 := ref.acquire(at, dur)
-		if s1 != s2 || e1 != e2 {
-			t.Fatalf("op %d: treap [%v,%v) != reference [%v,%v) for Acquire(%v,%v)",
-				op, s1, e1, s2, e2, at, dur)
-		}
-		if op%64 == 63 {
-			// Advance the clock; pruning must never change results. The
-			// reference keeps everything, which is the ground truth.
-			now += Time(rng.Intn(500))
-		}
-	}
-	if r.Intervals() > ref.count() {
-		t.Fatalf("treap holds %d intervals, reference %d", r.Intervals(), ref.count())
-	}
-}
-
-func (l *linearGap) count() int { return len(l.iv) }
 
 func TestGapResourcePruneWithClock(t *testing.T) {
 	var now Time

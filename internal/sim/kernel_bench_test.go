@@ -18,13 +18,16 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkGapResourceAcquire measures gap-filling bookings under two
+// BenchmarkGapResourceAcquire measures gap-filling bookings under three
 // interval mixes:
 //
 //   - dense: requests land contiguously, so intervals merge and the live
-//     set stays tiny (the common NIC-engine case);
+//     set stays tiny (the NIC-engine case);
 //   - sparse: requests leave holes, so the live set grows until the clock
-//     sweeps past and pruning reclaims it (the loaded torus-link case).
+//     sweeps past and pruning reclaims it;
+//   - fill: the measured torus-link population of the Fig 13 and
+//     17-Queens runs, about 250 live intervals with most bookings filling
+//     an internal gap (see linkFill).
 func BenchmarkGapResourceAcquire(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		var now Time
@@ -51,4 +54,49 @@ func BenchmarkGapResourceAcquire(b *testing.B) {
 			i++
 		}
 	})
+	b.Run("fill", func(b *testing.B) {
+		f := newLinkFill()
+		b.ReportAllocs()
+		for b.Loop() {
+			f.book()
+		}
+	})
+}
+
+// linkFill books like a loaded torus link: each booking is ready up to
+// 15000 past a clock that advances 20 per booking, for about 250 live
+// intervals and over nine in ten bookings filling an internal gap. It
+// starts warmed up, so its buffer already holds the steady-state peak.
+type linkFill struct {
+	r   *GapResource
+	now Time
+	i   uint64
+}
+
+func newLinkFill() *linkFill {
+	f := &linkFill{}
+	f.r = NewGapResource(Lit("link"), func() Time { return f.now })
+	for range 10000 {
+		f.book()
+	}
+	return f
+}
+
+func (f *linkFill) book() {
+	h := Mix(f.i)
+	f.i++
+	f.r.Acquire(f.now+Time(h%15000), 1+Time(h>>32%19))
+	f.now += 20
+}
+
+// TestGapResourceFillAllocFree pins the fill benchmark's steady state: a
+// warmed-up link books without allocating.
+func TestGapResourceFillAllocFree(t *testing.T) {
+	f := newLinkFill()
+	if a := testing.AllocsPerRun(10000, f.book); a != 0 {
+		t.Fatalf("fill booking allocates %v per op, want 0", a)
+	}
+	if n := f.r.Intervals(); n < 150 || n > 400 {
+		t.Fatalf("fill holds %d live intervals, want about 250", n)
+	}
 }
