@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke fuzz-smoke bench-json profile profile-shard alloc-gate ns-gate
+.PHONY: build test test-race vet fmt-check lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke fuzz-smoke profile profile-shard alloc-gate
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,10 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any Go file in the tree is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # simlint: all seventeen analyzers (internal/analysis/simlint) — the five
 # determinism/kernel-discipline rules, the CFG/dataflow allocation rules
@@ -44,7 +48,7 @@ lint-audit:
 lint-bench:
 	$(GO) run ./cmd/simlint -bench ./...
 
-check: build vet lint test test-race
+check: build vet fmt-check lint test test-race
 
 # Fault-model matrix (DESIGN.md §7) under the race detector: the scenario
 # runs (squeeze / tx-error / CQ back-pressure / combined, each double-run
@@ -56,13 +60,12 @@ fault-matrix:
 # Shard-count matrix (DESIGN.md §2.3–2.4) under the race detector: the
 # double-run determinism harness at kernel shards 1/2/4, the full-stack
 # flat-vs-windowed checks at shards 2/4 (fig8b/fig9a/fig13 goldens, probe
-# stream, and 50-seed faulted runs byte-identical to flat), the point
-# fan-out invariance, the 108K- and 1M-rank parallel-window halo
-# workloads against their lockstep oracles, and the network-level
-# shard-partition properties (route-cache fill hammer, 50-seed per-link
-# occupancy parity, cross-traffic conservation).
+# stream, and 50-seed faulted runs byte-identical to flat), the 108K- and
+# 1M-rank parallel-window halo workloads against their lockstep oracles,
+# and the network-level shard-partition properties (route-cache fill
+# hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
 shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestWorkerCountInvariance|TestShardScale|TestWindowed|TestShardCountInvariance|TestFaultedShardInvariance' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardScale|TestWindowed|TestShardCountInvariance|TestFaultedShardInvariance' ./internal/bench/
 	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
@@ -89,26 +92,6 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
 
-# Full benchmark suite (figure wall-clock flat and windowed + shardscale
-# kernel scaling + kernel microbenchmarks + recovery-strategy killed
-# paths) as JSON, with the recorded pre-optimization baseline alongside. Each entry
-# is the mean of 5 repeated runs with the sample stddev recorded. The
-# output file tracks the allocation discipline, the PR 6 shard-scaling
-# work, the PR 8 shard-local network model (windowed full-stack and
-# shardscale entries), and the PR 10 resilience machinery (team failover
-# and checkpoint rollback entries); the nsgate run afterwards fails the
-# build if fig9a's fresh mean regresses more than 3 recorded stddevs over
-# the checked-in PR 6 level.
-bench-json:
-	$(GO) run ./cmd/benchharness -benchjson > BENCH_PR10.json
-	$(GO) run ./cmd/benchharness -nsgate BENCH_PR6.json
-	@cat BENCH_PR10.json
-
-# Standalone wall-clock regression gate (also run by bench-json): fig9a
-# mean ns/op must stay within 3 recorded stddevs of the checked-in level.
-ns-gate:
-	$(GO) run ./cmd/benchharness -nsgate BENCH_PR6.json
-
 # CPU and allocation profiles of the end-to-end fig9a benchmark, written
 # to /tmp. Inspect with `go tool pprof -top /tmp/charmgo_cpu.prof` (or
 # -sample_index=alloc_objects for /tmp/charmgo_mem.prof).
@@ -134,7 +117,9 @@ profile-shard:
 		./internal/bench/
 	@echo "profiles written: /tmp/charmgo_shard_cpu.prof /tmp/charmgo_shard_mem.prof"
 
-# CI allocation gate: fail if the fig9a wall-clock benchmark's allocs/op
-# regresses more than 10% over the checked-in threshold.
+# CI allocation gate: fail if one full-axis fig9a regeneration allocates
+# more than 10% over the checked-in threshold. Wall-clock comparisons are
+# interleaved A/B runs against the parent commit: `bash cmd/simbench/run.sh
+# --compare` (cmd/simbench/README.md).
 alloc-gate:
 	$(GO) run ./cmd/benchharness -allocgate .bench/fig9a_allocs_threshold

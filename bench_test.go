@@ -75,8 +75,8 @@ func BenchmarkFig9aWallClock(b *testing.B) {
 
 // runShardedWallClock benchmarks one full-axis experiment with every
 // Charm machine on the flat engine (shards=1) and on a windowed kernel at
-// 4 shards (bench.Options.Shards). Workers stays unset, so the pair prices
-// the window protocol itself, not the point fan-out (DESIGN.md §2.3).
+// 4 shards (bench.Options.Shards), so the pair prices the window protocol
+// itself (DESIGN.md §2.3).
 func runShardedWallClock(b *testing.B, id string) {
 	b.Helper()
 	e, ok := bench.Find(id)

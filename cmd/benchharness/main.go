@@ -6,34 +6,19 @@
 //	benchharness -list
 //	benchharness -exp fig9a
 //	benchharness -exp all [-quick] [-seed 1]
-//	benchharness -benchjson          # wall-clock + allocation suite as JSON
 //	benchharness -allocgate FILE     # CI gate: fig9a allocs/op vs threshold
-//	benchharness -nsgate FILE        # CI gate: fig9a ns/op vs recorded mean+3σ
 //
 // Full mode reproduces the paper's axes (core counts up to 15,360); quick
 // mode shrinks sizes and core counts so the whole suite finishes in
 // seconds.
 //
-// -benchjson runs the fixed figure + sharded-kernel + kernel
-// microbenchmark suite (bench.RunBenchSuite; every entry the mean of 5
-// repeated runs with sample stddev) and writes a JSON document to stdout
-// containing both the fresh results and the recorded pre-optimization
-// baseline, for tracking the allocation-discipline and shard-scaling work
-// (see Makefile bench-json, which redirects into BENCH_PR8.json).
-//
 // -allocgate reads an allocs/op threshold (a single integer) from FILE,
-// reruns the Figure 9(a) wall-clock benchmark, and exits nonzero if
-// allocs/op exceeds the threshold by more than 10%.
-//
-// -nsgate reads a recorded BENCH_*.json artifact (BENCH_PR6.json in CI),
-// takes the fig9a_wallclock entry's mean and sample stddev, reruns the
-// benchmark, and exits nonzero if the fresh mean exceeds mean + 3×stddev
-// — the wall-clock regression gate calibrated to the recording's own
-// run-to-run noise.
+// measures the allocations of one full-axis Figure 9(a) regeneration, and
+// exits nonzero if they exceed the threshold by more than 10%. Wall-clock
+// comparisons live in cmd/simbench (`run.sh --compare`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,40 +28,6 @@ import (
 
 	"charmgo/internal/bench"
 )
-
-// baseline records the benchmark suite measured at the commit immediately
-// before the zero-allocation hot-path work, interleaved with the
-// post-change runs on the same machine (git worktree at the parent commit,
-// alternating 300-iteration runs) so both sides see identical load. The
-// kernel microbenchmarks were already allocation-free; the end-to-end
-// figure regeneration was not.
-var baseline = []bench.BenchResult{
-	{Name: "fig9a_wallclock", NsPerOp: 6305764, AllocsPerOp: 52837, BytesPerOp: 3883820},
-	{Name: "engine_schedule_fire", NsPerOp: 12.56, AllocsPerOp: 0, BytesPerOp: 0},
-	{Name: "gap_acquire_dense", NsPerOp: 22.95, AllocsPerOp: 0, BytesPerOp: 0},
-	{Name: "gap_acquire_sparse", NsPerOp: 90.09, AllocsPerOp: 0, BytesPerOp: 0},
-}
-
-// benchDoc is the JSON shape -benchjson emits.
-type benchDoc struct {
-	Note     string             `json:"note"`
-	Baseline []bench.BenchResult `json:"baseline"`
-	Current  []bench.BenchResult `json:"current"`
-}
-
-func runBenchJSON() {
-	doc := benchDoc{
-		Note:     "generated by `make bench-json`; each current entry is the mean of 5 interleaved rounds (one sample per entry per round, so host drift is shared noise; ns_stddev = sample stddev); baseline is the pre-optimization commit measured on the same machine",
-		Baseline: baseline,
-		Current:  bench.RunBenchSuite(),
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
 
 func runAllocGate(path string) {
 	raw, err := os.ReadFile(path)
@@ -89,43 +40,12 @@ func runAllocGate(path string) {
 		fmt.Fprintf(os.Stderr, "allocgate: bad threshold in %s: %v\n", path, err)
 		os.Exit(2)
 	}
-	r, err := bench.CheckAllocGate(threshold)
+	allocs, err := bench.CheckAllocGate(threshold)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "allocgate: FAIL: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("allocgate: ok: fig9a %d allocs/op (threshold %d +10%%)\n", r.AllocsPerOp, threshold)
-}
-
-func runNsGate(path string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nsgate: %v\n", err)
-		os.Exit(2)
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		fmt.Fprintf(os.Stderr, "nsgate: bad JSON in %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	var ref *bench.BenchResult
-	for i := range doc.Current {
-		if doc.Current[i].Name == "fig9a_wallclock" {
-			ref = &doc.Current[i]
-			break
-		}
-	}
-	if ref == nil || ref.NsStddev <= 0 {
-		fmt.Fprintf(os.Stderr, "nsgate: %s has no fig9a_wallclock entry with a stddev\n", path)
-		os.Exit(2)
-	}
-	r, err := bench.CheckNsGate(ref.NsPerOp, ref.NsStddev)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nsgate: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("nsgate: ok: fig9a %.0f ns/op (recorded %.0f ± %.0f, gate mean+3σ)\n",
-		r.NsPerOp, ref.NsPerOp, ref.NsStddev)
+	fmt.Printf("allocgate: ok: fig9a %d allocs/op (threshold %d +10%%)\n", allocs, threshold)
 }
 
 func main() {
@@ -134,22 +54,12 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced sizes/core counts")
 		seed      = flag.Uint64("seed", 1, "workload placement seed")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
-		benchjson = flag.Bool("benchjson", false, "run the benchmark suite and emit JSON")
 		allocgate = flag.String("allocgate", "", "threshold file for the fig9a allocs/op CI gate")
-		nsgate    = flag.String("nsgate", "", "recorded BENCH_*.json for the fig9a ns/op CI gate (mean+3·stddev)")
 	)
 	flag.Parse()
 
-	if *benchjson {
-		runBenchJSON()
-		return
-	}
 	if *allocgate != "" {
 		runAllocGate(*allocgate)
-		return
-	}
-	if *nsgate != "" {
-		runNsGate(*nsgate)
 		return
 	}
 

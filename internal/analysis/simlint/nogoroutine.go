@@ -25,14 +25,14 @@ import (
 // follows the protocol: it must first block on <-resume and hand the PE back
 // with yield <- struct{}{}.
 //
-// The sharded-kernel window workers in internal/sim (and the bench point
-// workers built on the same shape): a coordinator hands a horizon to each
-// shard over a `work` channel and collects results over `done`, with a full
-// barrier between windows, so worker interleaving can never reorder events
-// (DESIGN.md §2.3). Those sites carry `//simlint:shard-worker -- <reason>`
-// and the analyzer verifies the spawned goroutine is exactly the worker
-// loop: a bare for whose first act is a two-value receive from `work`,
-// followed by `if !ok { return }`, and which reports on `done`.
+// The sharded-kernel window workers in internal/sim: a coordinator hands a
+// horizon to each shard over a `work` channel and collects results over
+// `done`, with a full barrier between windows, so worker interleaving can
+// never reorder events (DESIGN.md §2.3). Those sites carry
+// `//simlint:shard-worker -- <reason>` and the analyzer verifies the
+// spawned goroutine is exactly the worker loop: a bare for whose first act
+// is a two-value receive from `work`, followed by `if !ok { return }`, and
+// which reports on `done`.
 var NoGoroutine = &framework.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid goroutines and channel ops in simulation code, except the " +
@@ -46,10 +46,9 @@ func runNoGoroutine(pass *framework.Pass) error {
 		return nil
 	}
 	inAmpi := under(rel(pass.PkgPath), "internal/ampi")
-	// The shard-worker protocol is confined to the kernel itself and the
-	// bench harness's point workers; annotations elsewhere don't count.
-	inShard := under(rel(pass.PkgPath), "internal/sim") ||
-		under(rel(pass.PkgPath), "internal/bench")
+	// The shard-worker protocol is confined to the kernel itself;
+	// annotations elsewhere don't count.
+	inShard := under(rel(pass.PkgPath), "internal/sim")
 	// Lines carrying a statement-level annotation, per file and verb.
 	rank := annotatedLines(pass, "rank-handoff")
 	shard := annotatedLines(pass, "shard-worker")

@@ -22,11 +22,6 @@ type Options struct {
 	Quick bool
 	// Seed for workloads with random placement.
 	Seed uint64
-	// Workers fans independent experiment points across that many
-	// goroutines (see forEachPoint). 0 or 1 runs sequentially. Results
-	// are byte-identical at any worker count: each point is its own
-	// simulation and lands in its own result slot.
-	Workers int
 	// Shards is the kernel shard count of every Charm machine the run
 	// builds (charmgo.MachineConfig.Shards): 0 or 1 keeps the flat
 	// engine, more runs conservative windows. Pure uGNI/MPI stacks stay
@@ -210,12 +205,11 @@ func Fig8c(o Options) []*stats.Table {
 
 // Fig9a is the headline latency comparison across all five systems. Each
 // size is an independent set of simulations, computed into its own row
-// slot (possibly in parallel, see Options.Workers) and rendered in order.
+// slot and rendered in order.
 func Fig9a(o Options) []*stats.Table {
 	sizes := o.sizes(8, 4<<20)
 	rows := make([][5]float64, len(sizes))
-	o.forEachPoint(len(sizes), func(i int) {
-		size := sizes[i]
+	for i, size := range sizes {
 		rows[i] = [5]float64{
 			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
 			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
@@ -223,7 +217,7 @@ func Fig9a(o Options) []*stats.Table {
 			us(PureMPIOneWay(size, false, false)),
 			us(PureUGNIOneWay(size)),
 		}
-	})
+	}
 	t := stats.NewTable("Fig 9a: one-way latency (us)",
 		"size", "charm/ugni", "charm/mpi", "MPI same-buf", "MPI diff-buf", "pure uGNI")
 	for i, size := range sizes {
@@ -399,10 +393,10 @@ func Fig13(o Options) []*stats.Table {
 		steps, warm = 2, 1
 	}
 	// Each (system, layer) pair is an independent simulation: 2 points per
-	// case, fanned across Options.Workers, rendered in case order.
+	// case, rendered in case order.
 	layers := [2]charmgo.LayerKind{charmgo.LayerMPI, charmgo.LayerUGNI}
 	results := make([][2]float64, len(cases))
-	o.forEachPoint(len(cases)*2, func(i int) {
+	for i := 0; i < len(cases)*2; i++ {
 		c := cases[i/2]
 		m := o.queensMachine(c.cores, layers[i%2], nil)
 		r := md.Run(m, md.Config{
@@ -410,7 +404,7 @@ func Fig13(o Options) []*stats.Table {
 		})
 		closeMachine(m)
 		results[i/2][i%2] = r.MsPerStep
-	})
+	}
 	t := stats.NewTable("Fig 13: mini-NAMD weak scaling, PME every step (ms/step)",
 		"system(cores)", "charm/mpi", "charm/ugni", "improvement")
 	for i, c := range cases {

@@ -13,12 +13,11 @@ import "sync/atomic"
 
 // live counts pooled descriptors currently acquired across every FreeList
 // in the process. It is the one process-global the otherwise goroutine-
-// confined free lists share, so it is atomic: independent simulations may
-// run concurrently (the bench harness's point workers, the sharded
-// kernel's window workers), and a torn counter would fail the leak gate
-// spuriously. Each FreeList itself stays single-owner — only the shared
-// diagnostic total needs the atomics. The leak test asserts this returns
-// to its pre-run value after every experiment drains.
+// confined free lists share, so it is atomic: the sharded kernel's window
+// workers may touch it concurrently, and a torn counter would fail the
+// leak gate spuriously. Each FreeList itself stays single-owner — only the
+// shared diagnostic total needs the atomics. The leak test asserts this
+// returns to its pre-run value after every experiment drains.
 var live atomic.Int64
 
 // LiveDescriptors reports how many pooled descriptors are currently

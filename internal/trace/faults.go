@@ -56,8 +56,8 @@ func (f *FaultTimeline) Reset() { f.notes = f.notes[:0] }
 
 // Render formats the journal one observation per line, e.g.
 //
-//	    1200 node-kill
-//	    1500 failover
+//	1200 node-kill
+//	1500 failover
 //
 // Deterministic runs render identical timelines, so the output diffs
 // cleanly across seeds and shard counts.

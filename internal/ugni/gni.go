@@ -40,8 +40,8 @@ type GNI struct {
 	smsgNotDone    uint64
 	creditConsumed uint64
 	creditReturns  uint64
-	txErrors      uint64
-	cqOverruns    uint64
+	txErrors       uint64
+	cqOverruns     uint64
 
 	// cqNodes pools in-flight CQ deliveries; descs pools post descriptors
 	// for callers that follow the acquire/release contract (NewPostDesc /
