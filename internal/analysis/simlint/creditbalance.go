@@ -46,9 +46,9 @@ type creditKey struct{}
 
 // creditAccepts maps a declared credit role to its legal exit balances.
 // consume may exit refused (0,0) or charged (+1,+1); return may exit
-// unmatched (0,0 — the no-connection and flight-launch paths) or
-// credited (-1,-1); drain re-issues through the independently-verified
-// consume verb, so it must itself exit balanced.
+// unmatched (0,0 — the internode path that only launches the
+// creditFlight) or credited (-1,-1); drain re-issues through the
+// independently-verified consume verb, so it must itself exit balanced.
 var creditAccepts = map[string][]creditState{
 	"consume": {{0, 0}, {1, 1}},
 	"return":  {{0, 0}, {-1, -1}},

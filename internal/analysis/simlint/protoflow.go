@@ -24,7 +24,7 @@ import (
 //	//simlint:proto credit consume           func doc: consumes one credit (window and account
 //	                                         move +1 together, or not at all on refusal paths)
 //	//simlint:proto credit return            func doc: returns one credit (-1 together, or 0 on
-//	                                         the no-connection / flight-launch paths)
+//	                                         the flight-launch path)
 //	//simlint:proto credit drain             func doc: re-issues queued sends on EvCreditReturn
 //	//simlint:proto flight record            type doc: a pooled deferred-completion record
 //	//simlint:proto flight oneshot           type doc: a reusable completion record with a

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"charmgo"
+	"charmgo/internal/machine/ugnimachine"
 	"charmgo/internal/md"
 	"charmgo/internal/sim"
 )
@@ -57,10 +58,18 @@ func TestUGNIFasterThanMPI(t *testing.T) {
 	// Section V-D: ~10% improvement at scale; at modest scale the gap
 	// should at least be visible and in the right direction.
 	cfg := md.Config{System: md.IAPP, Steps: 3, Warmup: 1, Seed: 3}
-	u := md.Run(machine(4, 8, charmgo.LayerUGNI), cfg)
+	um := machine(4, 8, charmgo.LayerUGNI)
+	u := md.Run(um, cfg)
 	p := md.Run(machine(4, 8, charmgo.LayerMPI), cfg)
 	if u.MsPerStep >= p.MsPerStep {
 		t.Fatalf("uGNI %.3f ms/step not faster than MPI %.3f", u.MsPerStep, p.MsPerStep)
+	}
+	// Clean-run witness of SMSG credit conservation: after the drained run
+	// nothing is in flight and every consumed credit came back.
+	g := um.Layer().(*ugnimachine.Layer).GNI()
+	consumed, returned, inflight := g.CreditsConsumed(), g.CreditReturns(), g.CreditsInFlight()
+	if inflight != 0 || consumed == 0 || consumed != returned {
+		t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d", consumed, returned, inflight)
 	}
 }
 

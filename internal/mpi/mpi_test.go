@@ -29,6 +29,17 @@ func newComm(t *testing.T, nodes int) (*Comm, *testHost) {
 	return New(g, h, DefaultConfig()), h
 }
 
+// checkCreditsDrained witnesses SMSG credit conservation on the
+// communicator's GNI after a drained run: nothing is left in flight and
+// every credit the eager path consumed came back.
+func checkCreditsDrained(t *testing.T, c *Comm) {
+	t.Helper()
+	consumed, returned, inflight := c.gni.CreditsConsumed(), c.gni.CreditReturns(), c.gni.CreditsInFlight()
+	if inflight != 0 || consumed == 0 || consumed != returned {
+		t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d", consumed, returned, inflight)
+	}
+}
+
 func TestEagerSmallDelivery(t *testing.T) {
 	c, h := newComm(t, 4)
 	dst := 24
@@ -213,6 +224,7 @@ func TestOrderingPreservedPerPair(t *testing.T) {
 			t.Fatalf("arrival order %v, want sequential", order)
 		}
 	}
+	checkCreditsDrained(t, c)
 }
 
 func TestPureMPIPingPongCalibration(t *testing.T) {
@@ -237,6 +249,7 @@ func TestPureMPIPingPongCalibration(t *testing.T) {
 	})
 	c.Isend(0, 24, 8, nil, 0, 0)
 	h.eng.Run()
+	checkCreditsDrained(t, c)
 	oneWay := done / (2 * iters)
 	if oneWay < 1300*sim.Nanosecond || oneWay > 3000*sim.Nanosecond {
 		t.Fatalf("pure MPI 8B one-way = %v, want ~2us (1.3-3.0)", oneWay)

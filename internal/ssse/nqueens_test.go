@@ -4,11 +4,28 @@ import (
 	"testing"
 
 	"charmgo"
+	"charmgo/internal/machine/ugnimachine"
 	"charmgo/internal/ssse"
 )
 
 func newMachine(nodes, cores int, layer charmgo.LayerKind) *charmgo.Machine {
 	return charmgo.NewMachine(charmgo.MachineConfig{Nodes: nodes, CoresPerNode: cores, Layer: layer})
+}
+
+// checkCreditsDrained witnesses SMSG credit conservation on a drained
+// uGNI-layer run: nothing is left in flight and every consumed credit came
+// back. Other layers pass through unchecked.
+func checkCreditsDrained(t *testing.T, m *charmgo.Machine) {
+	t.Helper()
+	l, ok := m.Layer().(*ugnimachine.Layer)
+	if !ok {
+		return
+	}
+	g := l.GNI()
+	consumed, returned, inflight := g.CreditsConsumed(), g.CreditReturns(), g.CreditsInFlight()
+	if inflight != 0 || consumed == 0 || consumed != returned {
+		t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d", consumed, returned, inflight)
+	}
 }
 
 func TestSequentialSolverMatchesKnownCounts(t *testing.T) {
@@ -40,6 +57,7 @@ func TestParallelSolveExactBothLayers(t *testing.T) {
 			if res.Tasks == 0 {
 				t.Fatal("no parallel tasks executed")
 			}
+			checkCreditsDrained(t, m)
 		}
 	}
 }

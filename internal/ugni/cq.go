@@ -74,11 +74,12 @@ type Event struct {
 	Desc    *PostDesc // non-nil for RDMA events
 	AmoOld  int64     // EvAmoDone: the register's pre-operation value
 
-	// nocredit marks deliveries that must not consume an SMSG mailbox
-	// credit even though they look like EvSmsg (MSGQ shares the delivery
-	// path but its per-node queues are credit-free) or flow through an
-	// SMSG receive CQ (credit-return notifications).
-	nocredit bool
+	// credit is the SMSG connection whose mailbox slot this delivery
+	// occupies; the receive-side dequeue returns the credit through it. Only
+	// SmsgSendWTag sets it, so it is nil for MSGQ deliveries (per-node
+	// queues are credit-free), credit-return notifications, and RDMA and
+	// error completions.
+	credit *smsgConn
 }
 
 // CQ is a completion queue. The simulator delivers events by scheduling
@@ -161,8 +162,8 @@ func (cq *CQ) GetEvent() (ev Event, ok bool) {
 	ev = cq.q[0]
 	copy(cq.q, cq.q[1:])
 	cq.q = cq.q[:len(cq.q)-1]
-	if ev.Type == EvSmsg && !ev.nocredit && cq.g != nil {
-		cq.g.smsgConsumed(ev.Src, ev.Dst, cq.eng.Now())
+	if ev.credit != nil {
+		cq.g.smsgConsumed(ev.credit, ev.Src, ev.Dst, cq.eng.Now())
 	}
 	return ev, true
 }
@@ -242,10 +243,8 @@ func (cq *CQ) dispatch(ev Event) {
 		return
 	}
 	cq.delivered++
-	if ev.Type == EvSmsg && !ev.nocredit {
-		if cq.OnEventIdx != nil || cq.OnEvent != nil {
-			cq.g.smsgConsumed(ev.Src, ev.Dst, cq.eng.Now())
-		}
+	if ev.credit != nil && (cq.OnEventIdx != nil || cq.OnEvent != nil) {
+		cq.g.smsgConsumed(ev.credit, ev.Src, ev.Dst, cq.eng.Now())
 	}
 	if cq.OnEventIdx != nil {
 		cq.OnEventIdx(int(cq.idx), ev)

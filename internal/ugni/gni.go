@@ -17,15 +17,16 @@ type GNI struct {
 
 	smsgMax  int
 	rxCQ     []*CQ // per-PE SMSG receive CQ (attached by the machine layer)
-	mailbox  map[uint64]bool
 	mbxBytes int64
 	amoRegs  map[amoKey]int64 // lazily created on first AMO
 
-	// conns holds per-ordered-(src,dst) SMSG credit windows, created on
-	// first send like mailboxes. The receive side returns a credit when it
-	// dequeues the message (hook invocation or GetEvent), and a sender that
-	// saw RCNotDone gets one EvCreditReturn notification per starvation
-	// episode when the window reopens.
+	// conns holds one record per ordered (src,dst) SMSG pair, created on
+	// the pair's first send (or by SqueezeCredits): its credit window and
+	// whether the pair's mailbox is accounted. A send looks its record up
+	// once and the delivery carries it, so the receive side returns the
+	// credit when it dequeues the message (hook invocation or GetEvent)
+	// without a lookup. A sender that saw RCNotDone gets one EvCreditReturn
+	// notification per starvation episode when the window reopens.
 	conns           map[uint64]*smsgConn
 	creditsInFlight int64 //simlint:proto credit account
 
@@ -67,7 +68,6 @@ func New(net *gemini.Network) *GNI {
 		Net:     net,
 		smsgMax: gemini.SMSGMaxSize(net.NumPEs()),
 		rxCQ:    make([]*CQ, net.NumPEs()),
-		mailbox: make(map[uint64]bool),
 		conns:   make(map[uint64]*smsgConn),
 	}
 }
@@ -155,27 +155,27 @@ func (g *GNI) Registrations() uint64 { return g.registrations }
 // attributes to SMSG.
 func (g *GNI) MailboxBytes() int64 { return g.mbxBytes }
 
-func (g *GNI) connect(a, b int) {
-	key := uint64(a)<<32 | uint64(uint32(b))
-	if a > b {
-		key = uint64(b)<<32 | uint64(uint32(a))
-	}
-	if !g.mailbox[key] {
-		//simlint:allow hotpathalloc -- mailbox establishment: first message between a PE pair only, modeling the real one-time SMSG mailbox allocation
-		g.mailbox[key] = true
-		// Both endpoints allocate and register a mailbox ring.
+// connect accounts the mailbox of c's PE pair on the pair's first send in
+// either direction: both endpoints allocate and register a mailbox ring.
+// The reverse record settles whether the other direction already did; one
+// that SqueezeCredits created before any send has no mailbox yet.
+func (g *GNI) connect(c *smsgConn, src, dst int) {
+	if r := g.conns[connKey(dst, src)]; r == nil || !r.mailbox {
 		g.mbxBytes += 2 * int64(g.Net.P.SMSGMailboxBytes())
 	}
+	c.mailbox = true
 }
 
-// smsgConn is one ordered (src→dst) connection's credit window: inflight
-// counts slots occupied in dst's mailbox, limit is the current window size
-// (narrowed by SqueezeCredits), starved marks a sender waiting for an
-// EvCreditReturn notification.
+// smsgConn is one ordered (src→dst) connection: inflight counts slots
+// occupied in dst's mailbox, limit is the current window size (narrowed by
+// SqueezeCredits), starved marks a sender waiting for an EvCreditReturn
+// notification, and mailbox marks the pair's mailbox as accounted (set by
+// the first send in this direction, see connect).
 type smsgConn struct {
 	limit    int32
 	inflight int32 //simlint:proto credit window
 	starved  bool
+	mailbox  bool
 }
 
 // connKey is the ordered-pair map key (src and dst are job-local PE ranks,
@@ -198,28 +198,24 @@ func (g *GNI) conn(src, dst int) *smsgConn {
 	return c
 }
 
-// smsgConsumed returns one credit on the src→dst window: the receive side
-// dequeued a message, freeing its mailbox slot. Intra-node the window
-// reopens immediately; internode the credit rides a control packet back to
-// the sender's NIC, so the decrement lands one ControlLatency later — as
-// an event on the *sender's* node. That flight keeps every mutation of an
-// outbound credit window on the shard that owns the sender (the receive
-// side only launches the packet), which is what lets conservative windows
-// replay the flat engine's credit protocol exactly: the control latency is
-// never shorter than the shard lookahead, so the booking always lands at
-// or beyond the current window's barrier. If the sender starved while the
-// window was full, one EvCreditReturn notification is delivered to its
-// SMSG receive CQ when the credit lands.
+// smsgConsumed returns one credit on c, the src→dst window the delivery
+// carried: the receive side dequeued a message, freeing its mailbox slot.
+// Intra-node the window reopens immediately; internode the credit rides a
+// control packet back to the sender's NIC, so the decrement lands one
+// ControlLatency later — as an event on the *sender's* node. That flight
+// keeps every mutation of an outbound credit window on the shard that owns
+// the sender (the receive side only launches the packet), which is what
+// lets conservative windows replay the flat engine's credit protocol
+// exactly: the control latency is never shorter than the shard lookahead,
+// so the booking always lands at or beyond the current window's barrier.
+// If the sender starved while the window was full, one EvCreditReturn
+// notification is delivered to its SMSG receive CQ when the credit lands.
 //
 //simlint:proto credit return
-func (g *GNI) smsgConsumed(src, dst int, now sim.Time) {
+func (g *GNI) smsgConsumed(c *smsgConn, src, dst int, now sim.Time) {
 	srcNode := g.Net.NodeOf(src)
 	dstNode := g.Net.NodeOf(dst)
 	if srcNode == dstNode {
-		c := g.conns[connKey(src, dst)]
-		if c == nil {
-			return
-		}
 		c.inflight--
 		g.creditsInFlight--
 		g.creditReturns++
@@ -230,17 +226,20 @@ func (g *GNI) smsgConsumed(src, dst int, now sim.Time) {
 		return
 	}
 	fl := g.creditFlights.Get()
-	fl.g, fl.src, fl.dst = g, int32(src), int32(dst)
+	fl.g, fl.c, fl.src, fl.dst = g, c, int32(src), int32(dst)
 	fl.at = now + g.Net.ControlLatency(dstNode, srcNode)
 	g.Net.Eng.AtNodeArg(srcNode, fl.at, creditBack, fl)
 }
 
 // creditFlight carries one internode credit return through the engine:
 // the control packet from the consuming receiver back to the sender's NIC.
+// c is the sender's window; the receiver only forwards it, and creditBack
+// mutates it on the sender's node.
 //
 //simlint:proto flight record
 type creditFlight struct {
 	g        *GNI
+	c        *smsgConn
 	at       sim.Time
 	src, dst int32
 }
@@ -255,13 +254,9 @@ type creditFlight struct {
 //simlint:proto flight complete
 func creditBack(arg any) {
 	fl := arg.(*creditFlight)
-	g, src, dst, at := fl.g, int(fl.src), int(fl.dst), fl.at
+	g, c, src, dst, at := fl.g, fl.c, int(fl.src), int(fl.dst), fl.at
 	*fl = creditFlight{}
 	g.creditFlights.Put(fl)
-	c := g.conns[connKey(src, dst)]
-	if c == nil {
-		return
-	}
 	c.inflight--
 	g.creditsInFlight--
 	g.creditReturns++
@@ -269,7 +264,7 @@ func creditBack(arg any) {
 		c.starved = false
 		if cq := g.rxCQ[src]; cq != nil {
 			cq.push(at+g.Net.P.CQLatency, Event{
-				Type: EvCreditReturn, Src: src, Dst: dst, nocredit: true,
+				Type: EvCreditReturn, Src: src, Dst: dst,
 			})
 		}
 	}
@@ -285,7 +280,7 @@ func (g *GNI) notifyCreditReturn(src, dst int, now sim.Time) {
 	}
 	lat := g.Net.ControlLatency(g.Net.NodeOf(dst), g.Net.NodeOf(src))
 	tx.push(now+lat+g.Net.P.CQLatency, Event{
-		Type: EvCreditReturn, Src: src, Dst: dst, nocredit: true,
+		Type: EvCreditReturn, Src: src, Dst: dst,
 	})
 }
 
@@ -393,12 +388,14 @@ func (g *GNI) SmsgSendWTag(src, dst int, tag uint8, size int, payload any, at si
 	if size > g.smsgMax {
 		return 0, RCErrorResource, fmt.Errorf("%w: %d > %d", ErrSmsgTooBig, size, g.smsgMax)
 	}
-	g.connect(src, dst)
+	c := g.conn(src, dst)
+	if !c.mailbox {
+		g.connect(c, src, dst)
+	}
 	rx := g.rxCQ[dst]
 	if rx == nil {
 		return 0, RCErrorResource, fmt.Errorf("ugni: PE %d has no attached SMSG receive CQ", dst)
 	}
-	c := g.conn(src, dst)
 	if c.inflight >= c.limit {
 		c.starved = true
 		g.smsgNotDone++
@@ -416,7 +413,7 @@ func (g *GNI) SmsgSendWTag(src, dst int, tag uint8, size int, payload any, at si
 	// sending engine is shard-local.
 	fl := g.flights.Get()
 	fl.g, fl.remote = g, rx
-	fl.ev = Event{Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload}
+	fl.ev = Event{Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload, credit: c}
 	srcDone := g.Net.TransferThen(g.Net.NodeOf(src), g.Net.NodeOf(dst), size, gemini.UnitSMSG, at, flightArrived, fl)
 	if txCQ != nil {
 		txCQ.push(srcDone+g.Net.P.CQLatency, Event{
@@ -499,7 +496,7 @@ func (g *GNI) post(d *PostDesc, unit gemini.Unit, at sim.Time) sim.Time {
 		}
 		cq.push(at+g.Net.P.TxErrorLatency, Event{
 			Type: EvError, Src: d.Initiator, Dst: d.Remote, Tag: d.Tag,
-			Size: d.Size, Payload: d.Payload, Desc: d, nocredit: true,
+			Size: d.Size, Payload: d.Payload, Desc: d,
 		})
 		return g.Net.P.HostPostCPU
 	}

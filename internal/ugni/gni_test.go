@@ -185,36 +185,71 @@ func TestMemRegisterTracksBytes(t *testing.T) {
 	}
 }
 
+// TestMailboxMemoryGrowsPerConnection pins the mailbox accounting: the
+// first send in either direction of a PE pair allocates both endpoints'
+// rings, and nothing else does — not a resend, not a reply, and not a
+// SqueezeCredits that created the pair's record before any send.
 func TestMailboxMemoryGrowsPerConnection(t *testing.T) {
-	g, _ := newGNI(4)
-	rx := g.CqCreate("rx")
-	for pe := 24; pe < 28; pe++ {
-		g.AttachSmsgCQ(pe, rx)
+	type step struct {
+		squeeze  bool // SqueezeCredits on src→dst instead of a send
+		src, dst int
+		grow     int64 // mailbox pairs the step must add
 	}
-	for pe := 24; pe < 28; pe++ {
-		if _, _, err := g.SmsgSendWTag(0, pe, 0, 8, nil, 0, nil); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"fan-out then resend", []step{
+			{src: 0, dst: 24, grow: 1}, {src: 0, dst: 25, grow: 1},
+			{src: 0, dst: 26, grow: 1}, {src: 0, dst: 27, grow: 1},
+			{src: 0, dst: 24}, {src: 0, dst: 25}, {src: 0, dst: 26}, {src: 0, dst: 27},
+		}},
+		{"reply on an existing pair", []step{
+			{src: 0, dst: 24, grow: 1}, {src: 24, dst: 0}, {src: 24, dst: 0}, {src: 0, dst: 24},
+		}},
+		{"intra-node reply", []step{
+			{src: 0, dst: 1, grow: 1}, {src: 1, dst: 0},
+		}},
+		{"squeeze then forward send", []step{
+			{squeeze: true, src: 0, dst: 24}, {src: 0, dst: 24, grow: 1}, {src: 24, dst: 0},
+		}},
+		{"squeeze then reverse send", []step{
+			{squeeze: true, src: 0, dst: 24}, {src: 24, dst: 0, grow: 1}, {src: 0, dst: 24},
+		}},
 	}
-	after4 := g.MailboxBytes()
-	if after4 <= 0 {
-		t.Fatal("no mailbox memory tracked")
-	}
-	// Resending on existing connections must not grow memory.
-	for pe := 24; pe < 28; pe++ {
-		if _, _, err := g.SmsgSendWTag(0, pe, 0, 8, nil, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.MailboxBytes() != after4 {
-		t.Fatal("mailbox memory grew on reused connection")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, eng := newGNI(4)
+			rx := g.CqCreate("rx")
+			for _, pe := range []int{0, 1, 24, 25, 26, 27} {
+				g.AttachSmsgCQ(pe, rx)
+			}
+			pair := 2 * int64(g.Net.P.SMSGMailboxBytes())
+			if pair <= 0 {
+				t.Fatal("no mailbox memory per connection")
+			}
+			for i, s := range tc.steps {
+				before := g.MailboxBytes()
+				if s.squeeze {
+					from := eng.Now() + 1
+					g.SqueezeCredits(s.src, s.dst, 0, from, from+1)
+					eng.Run()
+					if g.conns[connKey(s.src, s.dst)] == nil {
+						t.Fatalf("step %d: squeeze created no record for %d→%d", i, s.src, s.dst)
+					}
+				} else if _, rc, err := g.SmsgSendWTag(s.src, s.dst, 0, 8, nil, eng.Now(), nil); err != nil || rc != RCSuccess {
+					t.Fatalf("step %d: send %d→%d: rc %v, err %v", i, s.src, s.dst, rc, err)
+				}
+				eng.Run()
+				if got := g.MailboxBytes() - before; got != s.grow*pair {
+					t.Fatalf("step %d (%d→%d): MailboxBytes grew by %d, want %d", i, s.src, s.dst, got, s.grow*pair)
+				}
+			}
+		})
 	}
 	// The mailbox ring is the credit window: slots × slot size per
-	// endpoint, two endpoints per connection (ISSUE 5 satellite fix).
-	want := 4 * 2 * int64(g.Net.P.SMSGCreditSlots*g.Net.P.SMSGSlotBytes)
-	if after4 != want {
-		t.Fatalf("MailboxBytes = %d, want %d (4 conns x 2 endpoints x slots x slot bytes)", after4, want)
-	}
+	// endpoint, two endpoints per connection.
+	g, _ := newGNI(4)
 	if int64(g.Net.P.SMSGMailboxBytes()) != int64(g.Net.P.SMSGCreditSlots*g.Net.P.SMSGSlotBytes) {
 		t.Fatal("SMSGMailboxBytes() disagrees with slots x slot size")
 	}

@@ -40,7 +40,6 @@ func (g *GNI) MsgqSend(src, dst int, tag uint8, size int, payload any, at sim.Ti
 	fl.g, fl.remote = g, rx
 	fl.ev = Event{
 		Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload,
-		nocredit: true,
 	}
 	g.Net.TransferThen(sNode, dNode, size, gemini.UnitMSGQ, at, flightArrived, fl)
 	return g.Net.P.HostSendCPU + g.Net.P.MSGQExtraOverhead/2, RCSuccess, nil
