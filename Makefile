@@ -57,15 +57,16 @@ check: build vet fmt-check lint test test-race
 fault-matrix:
 	$(GO) test -race -count=1 -run 'TestFault' ./internal/bench/
 
-# Shard-count matrix (DESIGN.md §2.3–2.4) under the race detector: the
-# double-run determinism harness at kernel shards 1/2/4, the full-stack
-# flat-vs-windowed checks at shards 2/4 (fig8b/fig9a/fig13 goldens, probe
-# stream, and 50-seed faulted runs byte-identical to flat), the 108K- and
-# 1M-rank parallel-window halo workloads against their lockstep oracles,
+# Shard matrix (DESIGN.md §2.3–2.4) under the race detector: the
+# parallel-window kernel demo. The machine stack runs only on the flat
+# engine; this covers the 108K- and 1M-rank halo workloads against their
+# lockstep oracles, the sharded kernel's unit tests (lockstep probe
+# stream, parallel windows shard-count invariant, lookahead tripwire),
 # and the network-level shard-partition properties (route-cache fill
 # hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
 shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardMatrixDeterminism|TestShardScale|TestWindowed|TestShardCountInvariance|TestFaultedShardInvariance' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestShardScale' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestSharded|TestParallelWindows|TestCrossShard' ./internal/sim/
 	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
@@ -73,10 +74,10 @@ shard-matrix:
 # rendezvous transfer, partition-heal, kill under both strategies — each
 # double-run for bit-identical replay), the 200-seed random kill/partition
 # failover property test (exactly-once delivery, per-connection FIFO,
-# pools drained), the checkpoint round-trip proof on the flat engine and
-# on windowed kernels at shards 2/4, and the strategy unit tests.
+# pools drained), the checkpoint round-trip proof, and the strategy unit
+# tests.
 resilience-matrix:
-	$(GO) test -race -count=1 -run 'TestResilience|TestWindowedCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
+	$(GO) test -race -count=1 -run 'TestResilience|TestCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
 
 # Quick microbenchmark pass over the kernel and uGNI SMSG hot paths plus
@@ -110,8 +111,8 @@ profile:
 # Barrier cost shows up under ShardedEngine.RunParallel /
 # mergeOutboxes / Network.applyReservations; per-shard event work under
 # Engine.RunUntil. A healthy profile has the barrier functions in the
-# low single-digit percent — growth there means cross-shard traffic (or
-# flap replays) are defeating the shard-local booking fast path.
+# low single-digit percent — growth there means cross-shard traffic is
+# defeating the shard-local booking fast path.
 profile-shard:
 	$(GO) test -run - -bench BenchmarkShardScale -benchtime 20x \
 		-cpuprofile /tmp/charmgo_shard_cpu.prof -memprofile /tmp/charmgo_shard_mem.prof \

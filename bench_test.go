@@ -8,7 +8,6 @@
 package charmgo_test
 
 import (
-	"fmt"
 	"testing"
 
 	"charmgo/internal/bench"
@@ -72,34 +71,6 @@ func BenchmarkFig9aWallClock(b *testing.B) {
 		e.Run(opts)
 	}
 }
-
-// runShardedWallClock benchmarks one full-axis experiment with every
-// Charm machine on the flat engine (shards=1) and on a windowed kernel at
-// 4 shards (bench.Options.Shards), so the pair prices the window protocol
-// itself (DESIGN.md §2.3).
-func runShardedWallClock(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := bench.Options{Quick: false, Seed: 1, Shards: shards}
-			for b.Loop() {
-				e.Run(opts)
-			}
-		})
-	}
-}
-
-// BenchmarkFig9aShards measures full-axis Figure 9(a) wall clock at kernel
-// shards 1 vs 4.
-func BenchmarkFig9aShards(b *testing.B) { runShardedWallClock(b, "fig9a") }
-
-// BenchmarkFig13Shards measures full-axis Figure 13 wall clock at kernel
-// shards 1 vs 4.
-func BenchmarkFig13Shards(b *testing.B) { runShardedWallClock(b, "fig13") }
 
 // BenchmarkFig9b regenerates Figure 9(b) (bandwidth).
 func BenchmarkFig9b(b *testing.B) { runExperiment(b, "fig9b") }

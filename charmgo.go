@@ -21,7 +21,9 @@
 //	m.Inject(0, ping, nil, 0, 0)
 //	m.Run()
 //
-// All time is virtual (see internal/sim); runs are deterministic.
+// All time is virtual (see internal/sim); runs are deterministic. Every
+// machine runs on the flat event engine (sim.Engine), and every transfer
+// books synchronously.
 package charmgo
 
 import (
@@ -34,7 +36,6 @@ import (
 	"charmgo/internal/machine/mpimachine"
 	"charmgo/internal/machine/ugnimachine"
 	"charmgo/internal/sim"
-	"charmgo/internal/topology"
 	"charmgo/internal/trace"
 	"charmgo/internal/ugni"
 )
@@ -126,14 +127,6 @@ type MachineConfig struct {
 	// Machine.Checkpoint (the Kernel field), optionally advanced past the
 	// recovery delay with KernelCheckpoint.Advanced.
 	Resume *KernelCheckpoint
-	// Shards > 1 partitions the simulation kernel into per-node-group
-	// shards (sim.ShardedEngine over a topology slab partition) that run
-	// single-threaded conservative lookahead windows; 0 or 1 keeps the
-	// flat engine, the oracle. Windowed runs match flat for
-	// link-disciplined traffic, but contended cross-shard links may fill
-	// gaps in a different order (DESIGN.md §2.4), and DeadRoute reroutes
-	// need the flat engine.
-	Shards int
 }
 
 // NewMachine builds a ready-to-run simulated machine.
@@ -148,25 +141,12 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if cfg.CoresPerNode > 0 {
 		params.CoresPerNode = cfg.CoresPerNode
 	}
-	var eng sim.Kernel
-	if cfg.Shards > 1 {
-		// Windows run on the caller's goroutine: the layers share
-		// coordinator-side state (pools, counters) across shards. The
-		// lookahead is priced from the partition's minimal cross-shard hop
-		// count.
-		part := topology.PartitionTorus(topology.Shape(cfg.Nodes), cfg.Nodes, cfg.Shards)
-		se := sim.NewParallelEngine(part.Shards, part.NodeShard(),
-			params.ShardLookahead(part.MinCrossHops()))
-		se.SetRunMode(sim.RunWindowed)
-		eng = se
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	if cfg.Resume != nil {
 		// Restore before attaching the probe or building the network:
 		// construction must happen at the resumed clock (no layer books
 		// events before Run), and probes only observe post-resume work.
-		if err := eng.(sim.Checkpointer).Restore(*cfg.Resume); err != nil {
+		if err := eng.Restore(*cfg.Resume); err != nil {
 			panic(fmt.Sprintf("charmgo: resume: %v", err))
 		}
 	}

@@ -32,16 +32,16 @@ func main() {
 			t.Add(stats.SizeLabel(size),
 				"-",
 				bench.PureMPIOneWay(size, true, true).Micros(),
-				bench.CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Intra: true}.OneWay(bench.Options{}).Micros(),
-				bench.CharmPingPong{Layer: charmgo.LayerMPI, Size: size, Intra: true}.OneWay(bench.Options{}).Micros(),
+				bench.CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Intra: true}.OneWay().Micros(),
+				bench.CharmPingPong{Layer: charmgo.LayerMPI, Size: size, Intra: true}.OneWay().Micros(),
 			)
 			continue
 		}
 		t.Add(stats.SizeLabel(size),
 			bench.PureUGNIOneWay(size).Micros(),
 			bench.PureMPIOneWay(size, true, false).Micros(),
-			bench.CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(bench.Options{}).Micros(),
-			bench.CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(bench.Options{}).Micros(),
+			bench.CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay().Micros(),
+			bench.CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay().Micros(),
 		)
 	}
 	fmt.Println(t.String())

@@ -21,8 +21,8 @@ func main() {
 
 	t := stats.NewTable("per-iteration time (us)", "size", "charm/ugni", "charm/mpi", "ratio")
 	for size := 32; size <= 1<<20; size *= 8 {
-		u := bench.KNeighbor(bench.Options{}, charmgo.LayerUGNI, cores, k, size)
-		m := bench.KNeighbor(bench.Options{}, charmgo.LayerMPI, cores, k, size)
+		u := bench.KNeighbor(charmgo.LayerUGNI, cores, k, size)
+		m := bench.KNeighbor(charmgo.LayerMPI, cores, k, size)
 		t.Add(stats.SizeLabel(size), u.Micros(), m.Micros(),
 			fmt.Sprintf("%.2fx", float64(m)/float64(u)))
 	}

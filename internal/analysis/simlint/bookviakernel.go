@@ -71,14 +71,7 @@ var kernelSurface = map[string]map[string][]string{
 	},
 	"NICEngine": {
 		// Calls through the interface value: the transport layers own it.
-		// TransferThen is the deferred-completion form the window modes
-		// require for cross-shard transfers; it books the same link path,
-		// so it sits behind the same boundary. (GetThen has no NICEngine
-		// entry: it exists only on the gemini facade and unit engines,
-		// whose receivers live outside internal/sim.)
 		"Transfer": {"internal/sim", "internal/gemini", "internal/shm",
-			"internal/ugni", "internal/machine", "internal/mpi"},
-		"TransferThen": {"internal/sim", "internal/gemini", "internal/shm",
 			"internal/ugni", "internal/machine", "internal/mpi"},
 		"Get": {"internal/sim", "internal/gemini", "internal/shm",
 			"internal/ugni", "internal/machine", "internal/mpi"},

@@ -1,7 +1,6 @@
 // Package demo seeds flightlifecycle fixtures: pooled records must be
-// launched or zeroed-and-retired on every path, completion callbacks
-// must finish the lifecycle their role declares, and oneshot records
-// settle their pending flag instead of returning to a pool.
+// launched or zeroed-and-retired on every path, and completion callbacks
+// must retire the record they re-enter.
 package demo
 
 import "charmgo/internal/mem"
@@ -81,62 +80,4 @@ func onDone(arg any) {
 func onDoneLeak(arg any) {
 	fl := arg.(*flight) // want `callback onDoneLeak may exit in state "live"`
 	fl.q.push()
-}
-
-// onRedefer hands the flight back to the engine, as its role declares.
-//
-//simlint:proto flight defer
-func onRedefer(arg any) {
-	fl := arg.(*flight)
-	fl.v++
-	transferThen(2, onDone, fl)
-}
-
-// onRedeferStall keeps the flight instead of re-launching it.
-//
-//simlint:proto flight defer
-func onRedeferStall(arg any) {
-	fl := arg.(*flight) // want `callback onRedeferStall may exit in state "live"`
-	fl.v++
-}
-
-// recv is the oneshot per-PE record: a pending flag instead of a pool.
-//
-//simlint:proto flight oneshot
-type recv struct {
-	pending bool //simlint:proto flight pending
-	v       int
-}
-
-var slab [4]recv
-
-// armClean arms the oneshot and hands it to the engine.
-func armClean(i int) {
-	st := &slab[i]
-	st.v = 1
-	st.pending = true
-	transferThen(3, onRecv, st)
-}
-
-// armForgot arms the oneshot and drops it.
-func armForgot(i int) {
-	st := &slab[i] // want `flight born here may be dropped`
-	st.pending = true
-}
-
-// onRecv settles the oneshot; later uses are fine.
-//
-//simlint:proto flight complete
-func onRecv(arg any) {
-	st := arg.(*recv)
-	st.pending = false
-	st.v = 0
-}
-
-// onRecvStuck never clears the pending flag.
-//
-//simlint:proto flight complete
-func onRecvStuck(arg any) {
-	st := arg.(*recv) // want `callback onRecvStuck may exit in state "pending"`
-	st.v = 9
 }

@@ -23,8 +23,8 @@ func AblRendezvous(o Options) []*stats.Table {
 	t := stats.NewTable("Ablation: GET- vs PUT-based rendezvous, one-way latency (us)",
 		"size", "GET-based", "PUT-based", "penalty")
 	for _, size := range o.sizes(2<<10, 1<<20) {
-		g := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)
-		p := CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &put, Size: size}.OneWay(o)
+		g := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()
+		p := CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &put, Size: size}.OneWay()
 		t.Add(stats.SizeLabel(size), us(g), us(p),
 			fmt.Sprintf("+%.2fus", us(p-g)))
 	}
@@ -48,7 +48,7 @@ func AblBTEThreshold(o Options) []*stats.Table {
 			row[0] = "always-FMA"
 		}
 		for _, size := range sizes {
-			row = append(row, us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &cfg, Size: size}.OneWay(o)))
+			row = append(row, us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &cfg, Size: size}.OneWay()))
 		}
 		t.Add(row...)
 	}
@@ -122,8 +122,8 @@ func AblMSGQ(o Options) []*stats.Table {
 		"size", "SMSG", "MSGQ")
 	for _, size := range []int{8, 64, 256, 1024} {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smsg, Size: size}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &msgq, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smsg, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &msgq, Size: size}.OneWay()),
 		)
 	}
 	t.Note = "MSGQ queue memory grows per node pair, SMSG mailboxes per PE pair"

@@ -27,7 +27,7 @@ func TestLatencyOrderingSmallMessages(t *testing.T) {
 	size := 64
 	u := PureUGNIOneWay(size)
 	m := PureMPIOneWay(size, true, false)
-	cm := CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(Options{})
+	cm := CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()
 	if !(u < m && m < cm) {
 		t.Fatalf("ordering broken: uGNI=%v MPI=%v charm/mpi=%v", u, m, cm)
 	}
@@ -36,8 +36,8 @@ func TestLatencyOrderingSmallMessages(t *testing.T) {
 func TestCharmUGNIBeatsCharmMPIHeadline(t *testing.T) {
 	// Figure 9a headline: up to ~50% better latency.
 	for _, size := range []int{8, 1024, 16 << 10, 256 << 10} {
-		u := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(Options{})
-		m := CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(Options{})
+		u := CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()
+		m := CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()
 		if u >= m {
 			t.Fatalf("size %d: charm/ugni %v not better than charm/mpi %v", size, u, m)
 		}
@@ -54,8 +54,8 @@ func TestMPISameBufferBeatsDifferentForLarge(t *testing.T) {
 
 func TestBandwidthConvergesAtLargeSizes(t *testing.T) {
 	// Figure 9b: the gap closes as sizes grow; at 4MB both near wire speed.
-	u := Bandwidth(Options{}, charmgo.LayerUGNI, 4<<20)
-	m := Bandwidth(Options{}, charmgo.LayerMPI, 4<<20)
+	u := Bandwidth(charmgo.LayerUGNI, 4<<20)
+	m := Bandwidth(charmgo.LayerMPI, 4<<20)
 	wire := gemini.DefaultParams().BTEBW * 1000 // MB/s
 	if u < wire*0.5 || m < wire*0.3 {
 		t.Fatalf("4MB bandwidth too low: ugni=%.0f mpi=%.0f MB/s (wire %.0f)", u, m, wire)
@@ -65,7 +65,7 @@ func TestBandwidthConvergesAtLargeSizes(t *testing.T) {
 		t.Fatalf("4MB bandwidth gap %.2fx, paper shows convergence", ratio)
 	}
 	// And uGNI leads at mid sizes.
-	if Bandwidth(Options{}, charmgo.LayerUGNI, 64<<10) <= Bandwidth(Options{}, charmgo.LayerMPI, 64<<10) {
+	if Bandwidth(charmgo.LayerUGNI, 64<<10) <= Bandwidth(charmgo.LayerMPI, 64<<10) {
 		t.Fatal("charm/ugni does not lead at 64KB")
 	}
 }
@@ -73,8 +73,8 @@ func TestBandwidthConvergesAtLargeSizes(t *testing.T) {
 func TestKNeighborUGNIAdvantage(t *testing.T) {
 	// Figure 10: roughly 2x at 1MB thanks to overlap (blocking MPI_Recv
 	// stalls the MPI progress engine).
-	u := KNeighbor(Options{}, charmgo.LayerUGNI, 3, 1, 1<<20)
-	m := KNeighbor(Options{}, charmgo.LayerMPI, 3, 1, 1<<20)
+	u := KNeighbor(charmgo.LayerUGNI, 3, 1, 1<<20)
+	m := KNeighbor(charmgo.LayerMPI, 3, 1, 1<<20)
 	if u >= m {
 		t.Fatalf("kNeighbor 1MB: ugni %v not faster than mpi %v", u, m)
 	}
@@ -87,8 +87,8 @@ func TestKNeighborUGNIAdvantage(t *testing.T) {
 func TestOneToAllSmallMessageGap(t *testing.T) {
 	// Figure 9c: "for small messages, uGNI-based CHARM++ outperforms
 	// MPI-based CHARM++ by a large margin".
-	u := OneToAll(Options{}, charmgo.LayerUGNI, 8, 64)
-	m := OneToAll(Options{}, charmgo.LayerMPI, 8, 64)
+	u := OneToAll(charmgo.LayerUGNI, 8, 64)
+	m := OneToAll(charmgo.LayerMPI, 8, 64)
 	if u >= m {
 		t.Fatalf("one-to-all 64B: ugni %v not faster than mpi %v", u, m)
 	}

@@ -11,7 +11,7 @@ import (
 
 // clockCheck is a probe that checks the precondition of exact pruning in
 // sim.GapResource: no booking asks for time before its resource's clock
-// (the engine's Now flat, the window floor windowed). A booking that did
+// (the engine's Now). A booking that did
 // could land in an interval pruning had already dropped, so placement
 // would depend on when pruning ran and Peek could disagree with Acquire.
 type clockCheck struct {
@@ -34,32 +34,30 @@ func (c *clockCheck) Booking(r sim.Booked, at, _, _ sim.Time) {
 }
 
 // TestGapBookingsNeverPrecedeClock runs the Fig 13 quick cases on both
-// layers, flat and windowed at shards 2, under clockCheck.
+// layers under clockCheck.
 func TestGapBookingsNeverPrecedeClock(t *testing.T) {
 	cases := []struct {
 		sys   md.System
 		cores int
 	}{{md.IAPP, 48}, {md.DHFR, 192}}
-	for _, shards := range []int{1, 2} {
-		for _, c := range cases {
-			for _, layer := range []charmgo.LayerKind{charmgo.LayerMPI, charmgo.LayerUGNI} {
-				name := fmt.Sprintf("%s/%s(%d)/%v", kernelName(shards), c.sys.Name, c.cores, layer)
-				t.Run(name, func(t *testing.T) {
-					p := &clockCheck{}
-					nodes, cpn := geomFor(c.cores)
-					m := Options{Shards: shards}.machine(charmgo.MachineConfig{
-						Nodes: nodes, CoresPerNode: cpn, Layer: layer, Probe: p,
-					})
-					md.Run(m, md.Config{System: c.sys, Steps: 2, Warmup: 1, LB: true, Seed: 1})
-					closeMachine(m)
-					if p.bookings == 0 {
-						t.Fatal("no gap-resource bookings observed")
-					}
-					if len(p.early) > 0 {
-						t.Fatalf("bookings before the resource clock: %v", p.early)
-					}
+	for _, c := range cases {
+		for _, layer := range []charmgo.LayerKind{charmgo.LayerMPI, charmgo.LayerUGNI} {
+			name := fmt.Sprintf("flat/%s(%d)/%v", c.sys.Name, c.cores, layer)
+			t.Run(name, func(t *testing.T) {
+				p := &clockCheck{}
+				nodes, cpn := geomFor(c.cores)
+				m := charmgo.NewMachine(charmgo.MachineConfig{
+					Nodes: nodes, CoresPerNode: cpn, Layer: layer, Probe: p,
 				})
-			}
+				md.Run(m, md.Config{System: c.sys, Steps: 2, Warmup: 1, LB: true, Seed: 1})
+				closeMachine(m)
+				if p.bookings == 0 {
+					t.Fatal("no gap-resource bookings observed")
+				}
+				if len(p.early) > 0 {
+					t.Fatalf("bookings before the resource clock: %v", p.early)
+				}
+			})
 		}
 	}
 }

@@ -44,10 +44,10 @@ func DoubleRun(e Experiment, o Options) (first, second string) {
 // renders the kernel-stat table and the machine layer counters. It is the
 // deepest determinism witness we have: it covers the event kernel's
 // booking tables, the uGNI machine layer, and the rank-thread handoff in
-// one run. o selects the kernel.
-func KernelProbeRun(o Options) string {
+// one run.
+func KernelProbeRun() string {
 	ks := charmgo.NewKernelStats()
-	m := o.machine(charmgo.MachineConfig{
+	m := charmgo.NewMachine(charmgo.MachineConfig{
 		Nodes: 2, CoresPerNode: 4, Layer: charmgo.LayerUGNI, Probe: ks,
 	})
 	const ranks = 16

@@ -32,8 +32,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 // kernel-stat table (event counts, resource busy times) and the machine
 // layer counters must be bit-identical across runs.
 func TestKernelProbeDeterministic(t *testing.T) {
-	first := KernelProbeRun(Options{})
-	second := KernelProbeRun(Options{})
+	first := KernelProbeRun()
+	second := KernelProbeRun()
 	if first != second {
 		t.Fatalf("kernel-stat tables differ across runs:\n--- first ---\n%s\n--- second ---\n%s",
 			first, second)

@@ -22,19 +22,6 @@ type Options struct {
 	Quick bool
 	// Seed for workloads with random placement.
 	Seed uint64
-	// Shards is the kernel shard count of every Charm machine the run
-	// builds (charmgo.MachineConfig.Shards): 0 or 1 keeps the flat
-	// engine, more runs conservative windows. Pure uGNI/MPI stacks stay
-	// flat (see newStack).
-	Shards int
-}
-
-// machine builds one Charm machine on the kernel o selects. Every Charm
-// machine the harness builds comes from here, so Shards reaches all of
-// them.
-func (o Options) machine(cfg charmgo.MachineConfig) *charmgo.Machine {
-	cfg.Shards = o.Shards
-	return charmgo.NewMachine(cfg)
 }
 
 // Experiment is one reproducible figure or table.
@@ -119,7 +106,7 @@ func Fig1(o Options) []*stats.Table {
 		t.Add(stats.SizeLabel(size),
 			us(PureUGNIOneWay(size)),
 			us(PureMPIOneWay(size, true, false)),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
 		)
 	}
 	return []*stats.Table{t}
@@ -148,8 +135,8 @@ func Fig6(o Options) []*stats.Table {
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
 			us(PureUGNIOneWay(size)),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay()),
 		)
 	}
 	return []*stats.Table{t}
@@ -160,8 +147,8 @@ func Fig8a(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 8a: one-way latency (us)", "size", "w/o persistent", "w/ persistent", "pure uGNI")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Persistent: true}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, Persistent: true}.OneWay()),
 			us(PureUGNIOneWay(size)),
 		)
 	}
@@ -175,8 +162,8 @@ func Fig8b(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 8b: one-way latency (us)", "size", "w/o mempool", "w/ mempool", "pure uGNI")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &noPool, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
 			us(PureUGNIOneWay(size)),
 		)
 	}
@@ -194,10 +181,10 @@ func Fig8c(o Options) []*stats.Table {
 		"size", "pxshm double", "pxshm single", "pure MPI", "uGNI loopback")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		t.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay()),
 			us(PureMPIOneWay(size, true, true)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &nic, Size: size, Intra: true}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &nic, Size: size, Intra: true}.OneWay()),
 		)
 	}
 	return []*stats.Table{t}
@@ -211,8 +198,8 @@ func Fig9a(o Options) []*stats.Table {
 	rows := make([][5]float64, len(sizes))
 	for i, size := range sizes {
 		rows[i] = [5]float64{
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
 			us(PureMPIOneWay(size, true, false)),
 			us(PureMPIOneWay(size, false, false)),
 			us(PureUGNIOneWay(size)),
@@ -232,8 +219,8 @@ func Fig9b(o Options) []*stats.Table {
 	t := stats.NewTable("Fig 9b: bandwidth (MB/s)", "size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(16<<10, 4<<20) {
 		t.Add(stats.SizeLabel(size),
-			Bandwidth(o, charmgo.LayerUGNI, size),
-			Bandwidth(o, charmgo.LayerMPI, size),
+			Bandwidth(charmgo.LayerUGNI, size),
+			Bandwidth(charmgo.LayerMPI, size),
 		)
 	}
 	return []*stats.Table{t}
@@ -249,8 +236,8 @@ func Fig9c(o Options) []*stats.Table {
 		"size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
-			us(OneToAll(o, charmgo.LayerUGNI, nodes, size)),
-			us(OneToAll(o, charmgo.LayerMPI, nodes, size)),
+			us(OneToAll(charmgo.LayerUGNI, nodes, size)),
+			us(OneToAll(charmgo.LayerMPI, nodes, size)),
 		)
 	}
 	return []*stats.Table{t}
@@ -262,8 +249,8 @@ func Fig10(o Options) []*stats.Table {
 		"size", "charm/ugni", "charm/mpi")
 	for _, size := range o.sizes(32, 1<<20) {
 		t.Add(stats.SizeLabel(size),
-			us(KNeighbor(o, charmgo.LayerUGNI, 3, 1, size)),
-			us(KNeighbor(o, charmgo.LayerMPI, 3, 1, size)),
+			us(KNeighbor(charmgo.LayerUGNI, 3, 1, size)),
+			us(KNeighbor(charmgo.LayerMPI, 3, 1, size)),
 		)
 	}
 	return []*stats.Table{t}
@@ -282,7 +269,7 @@ func geomFor(cores int) (nodes, coresPerNode int) {
 // queensMachine builds a machine with exactly the given core count.
 func (o Options) queensMachine(cores int, layer charmgo.LayerKind, tracer *trace.Recorder) *charmgo.Machine {
 	nodes, cpn := geomFor(cores)
-	return o.machine(charmgo.MachineConfig{
+	return charmgo.NewMachine(charmgo.MachineConfig{
 		Nodes: nodes, CoresPerNode: cpn, Layer: layer, Tracer: tracer,
 	})
 }

@@ -24,9 +24,9 @@ func ExtSMP(o Options) []*stats.Table {
 		"size", "pxshm double", "pxshm single", "SMP zero-copy")
 	for _, size := range o.sizes(1<<10, 512<<10) {
 		lat.Add(stats.SizeLabel(size),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay(o)),
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smp, Size: size, Intra: true}.OneWay(o)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &double, Size: size, Intra: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &single, Size: size, Intra: true}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, UGNI: &smp, Size: size, Intra: true}.OneWay()),
 		)
 	}
 
@@ -39,7 +39,7 @@ func ExtSMP(o Options) []*stats.Table {
 		"cores", "non-SMP", "SMP")
 	runMD := func(cfg *ugnimachine.Config) float64 {
 		nodes, cpn := geomFor(cores)
-		m := o.machine(charmgo.MachineConfig{
+		m := charmgo.NewMachine(charmgo.MachineConfig{
 			Nodes: nodes, CoresPerNode: cpn, Layer: charmgo.LayerUGNI, UGNI: cfg,
 		})
 		r := md.Run(m, md.Config{System: md.DHFR, Steps: steps, Warmup: warm, LB: true, Seed: o.Seed})
@@ -63,7 +63,7 @@ func ExtRate(o Options) []*stats.Table {
 	t := stats.NewTable("Extension: small-message rate (messages per millisecond)",
 		"layer", "burst", "total time (us)", "msgs/ms")
 	for _, layer := range []charmgo.LayerKind{charmgo.LayerUGNI, charmgo.LayerMPI} {
-		m := o.machine(charmgo.MachineConfig{Nodes: 16, Layer: layer})
+		m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: 16, Layer: layer})
 		n := m.NumPEs()
 		got := 0
 		var done charmgo.Time
@@ -97,7 +97,7 @@ func ExtOverlap(o Options) []*stats.Table {
 		fmt.Sprintf("Extension: pipelining of %d x %s receives (total time, us)", k, stats.SizeLabel(size)),
 		"layer", "makespan (us)", "per message (us)")
 	for _, layer := range []charmgo.LayerKind{charmgo.LayerUGNI, charmgo.LayerMPI} {
-		m := o.machine(charmgo.MachineConfig{Nodes: 2, Layer: layer})
+		m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: 2, Layer: layer})
 		peer := m.Net().P.CoresPerNode
 		got := 0
 		var done charmgo.Time

@@ -42,13 +42,12 @@ const (
 	faultMsgCount = faultRounds * faultPEs * (faultPEs - 1)
 )
 
-// runFaultWorkload executes the workload under sched on the kernel o
-// selects and returns the result plus every invariant violation (empty
+// runFaultWorkload executes the workload under sched and returns the result plus every invariant violation (empty
 // slice = invariants hold).
-func runFaultWorkload(o Options, params *gemini.Params, ugniCfg *ugnimachine.Config, sched fault.Schedule) (faultResult, []string) {
+func runFaultWorkload(params *gemini.Params, ugniCfg *ugnimachine.Config, sched fault.Schedule) (faultResult, []string) {
 	var violations []string
 	ks := charmgo.NewKernelStats()
-	m := o.machine(charmgo.MachineConfig{
+	m := charmgo.NewMachine(charmgo.MachineConfig{
 		Nodes: 2, CoresPerNode: faultPEs / 2, Layer: charmgo.LayerUGNI,
 		Params: params, UGNI: ugniCfg, Probe: ks, Faults: &sched,
 	})
@@ -274,7 +273,7 @@ func TestFaultScenarioMatrix(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			live := mem.LiveDescriptors()
-			first, viol := runFaultWorkload(Options{}, sc.params, nil, sc.sched)
+			first, viol := runFaultWorkload(sc.params, nil, sc.sched)
 			for _, v := range viol {
 				t.Error(v)
 			}
@@ -286,7 +285,7 @@ func TestFaultScenarioMatrix(t *testing.T) {
 				t.Errorf("scenario leaked %d pool descriptors", got-live)
 			}
 			// Determinism: the faulted run must replay bit-identically.
-			second, _ := runFaultWorkload(Options{}, sc.params, nil, sc.sched)
+			second, _ := runFaultWorkload(sc.params, nil, sc.sched)
 			if first.render != second.render {
 				t.Errorf("faulted run is not deterministic:\n--- first\n%s--- second\n%s", first.render, second.render)
 			}
@@ -318,7 +317,7 @@ func TestFaultPropertyRandomSchedules(t *testing.T) {
 				msgs = append(msgs, fmt.Sprintf("panic: %v", p))
 			}
 		}()
-		r, viol := runFaultWorkload(Options{}, nil, &strict, s)
+		r, viol := runFaultWorkload(nil, &strict, s)
 		if r.layer["smsg_not_done"] > 0 || r.layer["retransmits"] > 0 || r.layer["cq_overruns"] > 0 {
 			stressed++
 		}

@@ -42,7 +42,7 @@ func TestPoolDescriptorsDrain(t *testing.T) {
 // workload, which exercises the rank-handoff and allreduce paths the
 // figure experiments do not.
 func TestKernelProbeDrains(t *testing.T) {
-	KernelProbeRun(Options{})
+	KernelProbeRun()
 	if live := mem.LiveDescriptors(); live != 0 {
 		t.Fatalf("kernel probe run leaked %d pool descriptors", live)
 	}
@@ -59,7 +59,7 @@ func TestFaultedRunsDrainPools(t *testing.T) {
 		PEs: faultPEs, Links: 8, Horizon: faultHorizon, Ops: 10,
 	})
 	for pass := 1; pass <= 2; pass++ {
-		r, viol := runFaultWorkload(Options{}, nil, nil, sched)
+		r, viol := runFaultWorkload(nil, nil, sched)
 		for _, v := range viol {
 			t.Error(v)
 		}

@@ -21,11 +21,7 @@ import (
 // simulator is deterministic, so a modest count suffices for steady state.
 const pingIters = 20
 
-// newStack builds a bare network + GNI (no runtime) for pure benchmarks,
-// always on the flat engine, whatever Options.Shards says: the pure-MPI
-// ping-pong's blocking Comm.Recv issues a synchronous rendezvous Get,
-// which a windowed kernel refuses for a pair that crosses the shard
-// partition inside a window, so the pure columns have no windowed form.
+// newStack builds a bare network + GNI (no runtime) for pure benchmarks.
 func newStack(nodes int) (sim.Kernel, *gemini.Network, *ugni.GNI) {
 	eng := sim.NewEngine()
 	net := gemini.NewNetwork(eng, nodes, gemini.DefaultParams())
@@ -211,11 +207,11 @@ type CharmPingPong struct {
 	Faults *fault.Schedule
 }
 
-// OneWay runs the ping-pong on the kernel o selects and returns the
-// steady-state one-way latency, after a short warmup (the paper's
-// benchmark reuses buffers; the memory pool makes reuse automatic here).
-func (b CharmPingPong) OneWay(o Options) sim.Time {
-	m := o.machine(charmgo.MachineConfig{
+// OneWay runs the ping-pong and returns the steady-state one-way latency,
+// after a short warmup (the paper's benchmark reuses buffers; the memory
+// pool makes reuse automatic here).
+func (b CharmPingPong) OneWay() sim.Time {
+	m := charmgo.NewMachine(charmgo.MachineConfig{
 		Nodes: 2, Layer: b.Layer, UGNI: b.UGNI,
 		Params: b.Params, Faults: b.Faults,
 	})
@@ -284,9 +280,9 @@ func (b CharmPingPong) OneWay(o Options) sim.Time {
 // Bandwidth measures achieved bandwidth (MB/s) by streaming window
 // messages of the given size from PE 0 to a remote core and timing until
 // the last is delivered.
-func Bandwidth(o Options, layer charmgo.LayerKind, size int) float64 {
+func Bandwidth(layer charmgo.LayerKind, size int) float64 {
 	const window = 8
-	m := o.machine(charmgo.MachineConfig{Nodes: 2, Layer: layer})
+	m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: 2, Layer: layer})
 	peer := m.Net().P.CoresPerNode
 	var start, done sim.Time
 	got := 0
@@ -313,8 +309,8 @@ func Bandwidth(o Options, layer charmgo.LayerKind, size int) float64 {
 // OneToAll measures the Figure 9(c) benchmark: PE 0 sends a size-byte
 // message to one core on each remote node and waits for all acks; the
 // returned value is the steady-state time of one full exchange.
-func OneToAll(o Options, layer charmgo.LayerKind, nodes, size int) sim.Time {
-	m := o.machine(charmgo.MachineConfig{Nodes: nodes, Layer: layer})
+func OneToAll(layer charmgo.LayerKind, nodes, size int) sim.Time {
+	m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: nodes, Layer: layer})
 	cores := m.Net().P.CoresPerNode
 	targets := nodes - 1
 	const warmup, iters = 1, 5
@@ -359,8 +355,8 @@ func OneToAll(o Options, layer charmgo.LayerKind, nodes, size int) sim.Time {
 // neighbours every iteration and acks each received message with the same
 // buffer; an iteration completes on a PE when its 2k acks are back. The
 // returned value is the steady-state per-iteration time.
-func KNeighbor(o Options, layer charmgo.LayerKind, cores, k, size int) sim.Time {
-	m := o.machine(charmgo.MachineConfig{Nodes: cores, Layer: layer})
+func KNeighbor(layer charmgo.LayerKind, cores, k, size int) sim.Time {
+	m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: cores, Layer: layer})
 	cpn := m.Net().P.CoresPerNode
 	pe := func(i int) int { return ((i % cores) + cores) % cores * cpn }
 	rank := func(p int) int { return p / cpn }

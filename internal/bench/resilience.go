@@ -24,15 +24,12 @@ func ExtResilience(o Options) []*stats.Table {
 		size  = 512
 	)
 	killAt := 15 * sim.Microsecond
-	// The team strategy's DeadRoute failover needs the flat engine, so the
-	// baselines run flat too and every row compares like with like.
-	o.Shards = 0
 
 	// Unreplicated baseline for the team strategy: the same R chained
 	// streams, single copy, no heartbeats — R single-core nodes where
 	// rank t applies stream t-1 and produces stream t.
 	plainStreams := func() sim.Time {
-		m := o.machine(charmgo.MachineConfig{Nodes: teams, CoresPerNode: 1})
+		m := charmgo.NewMachine(charmgo.MachineConfig{Nodes: teams, CoresPerNode: 1})
 		var done sim.Time
 		var appH int
 		next := make([]int, teams)

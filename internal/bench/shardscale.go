@@ -8,7 +8,7 @@ import (
 	"charmgo/internal/topology"
 )
 
-// This file is the tentpole's scale demonstration: a fig13-shaped workload
+// This file is the sharded kernel's scale demonstration: a fig13-shaped workload
 // — mini-NAMD's communication skeleton, a 3D halo exchange with a fixed
 // per-step compute cost per rank — run on the *real* gemini network model
 // over the parallel-window sharded kernel, at and beyond the paper's
@@ -19,9 +19,10 @@ import (
 // route), cross-shard transfers ride the deferred-reservation path and
 // apply at the window barrier in deterministic (timestamp, shard,
 // emission) order. The checksum folds each halo's *arrival time* in with
-// its value, so a run only matches the lockstep oracle if the windowed
-// booking produced bit-identical link timings — not merely the same
-// payload values.
+// its value, so a run only matches the lockstep oracle if the parallel
+// windows produced bit-identical link timings — not merely the same
+// payload values. The machine stack never runs sharded; this halo is the
+// only workload that books through the deferred-reservation path.
 
 // haloBytes is the per-direction halo payload: small enough that one
 // node's six sends serialize on its FMA engine well within the step
@@ -40,11 +41,9 @@ type ShardScaleConfig struct {
 	Steps int
 	// Shards partitions the torus; 1 runs the flat-equivalent lockstep.
 	Shards int
-	// Parallel runs conservative windows on worker goroutines; Windowed
-	// runs the same window protocol single-threaded; with neither set the
+	// Parallel runs conservative windows on worker goroutines; unset, the
 	// lockstep merge executes sequentially (the determinism oracle).
 	Parallel bool
-	Windowed bool
 }
 
 // ShardScaleResult summarizes a run for the harness and its tests.
@@ -52,7 +51,6 @@ type ShardScaleResult struct {
 	Nodes, Ranks, Shards int
 	Steps                int
 	Parallel             bool
-	Windowed             bool
 	Lookahead            sim.Time
 	End                  sim.Time
 	Fired                uint64
@@ -61,11 +59,8 @@ type ShardScaleResult struct {
 
 func (r ShardScaleResult) String() string {
 	mode := "lockstep"
-	switch {
-	case r.Parallel:
+	if r.Parallel {
 		mode = "parallel"
-	case r.Windowed:
-		mode = "windowed"
 	}
 	return fmt.Sprintf("shardscale: %d nodes / %d ranks, %d steps, %d shards (%s, L=%v): end=%v fired=%d checksum=%016x",
 		r.Nodes, r.Ranks, r.Steps, r.Shards, mode, r.Lookahead, r.End, r.Fired, r.Checksum)
@@ -210,12 +205,9 @@ func ShardScaleRun(cfg ShardScaleConfig) ShardScaleResult {
 	}
 
 	var fired uint64
-	switch {
-	case cfg.Parallel:
+	if cfg.Parallel {
 		fired = se.RunParallel()
-	case cfg.Windowed:
-		fired = se.RunWindowed()
-	default:
+	} else {
 		fired = se.Run()
 	}
 
@@ -226,7 +218,7 @@ func ShardScaleRun(cfg ShardScaleConfig) ShardScaleResult {
 	return ShardScaleResult{
 		Nodes: cfg.Nodes, Ranks: cfg.Nodes * cfg.RanksPerNode,
 		Shards: cfg.Shards, Steps: cfg.Steps,
-		Parallel: cfg.Parallel, Windowed: cfg.Windowed,
+		Parallel:  cfg.Parallel,
 		Lookahead: la, End: se.Now(), Fired: fired, Checksum: sum,
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"charmgo/internal/sim"
 )
 
-// TestShardScaleInvariant runs the halo workload lockstep, windowed, and
-// parallel at shards 1, 2, 4: every mode must produce the same end time,
+// TestShardScaleInvariant runs the halo workload lockstep and parallel at
+// shards 1, 2, 4: every mode must produce the same end time,
 // event count, and checksum as the flat-equivalent sequential run. The
 // checksum folds wire-level arrival times, so this certifies the
 // shard-local link bookings and the barrier-applied cross-shard
@@ -19,14 +19,10 @@ func TestShardScaleInvariant(t *testing.T) {
 		t.Fatalf("degenerate base run: %v", base)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		for _, mode := range []struct{ parallel, windowed bool }{
-			{false, false}, {false, true}, {true, false},
-		} {
-			r := ShardScaleRun(ShardScaleConfig{Nodes: 64, Steps: 6, Shards: shards,
-				Parallel: mode.parallel, Windowed: mode.windowed})
+		for _, parallel := range []bool{false, true} {
+			r := ShardScaleRun(ShardScaleConfig{Nodes: 64, Steps: 6, Shards: shards, Parallel: parallel})
 			if r.Checksum != base.Checksum || r.Fired != base.Fired || r.End != base.End {
-				t.Errorf("shards=%d parallel=%v windowed=%v diverged:\n%v\nvs\n%v",
-					shards, mode.parallel, mode.windowed, r, base)
+				t.Errorf("shards=%d parallel=%v diverged:\n%v\nvs\n%v", shards, parallel, r, base)
 			}
 		}
 	}

@@ -95,9 +95,7 @@ type tally struct {
 
 // linkResv is one deferred booking in a reservation outbox: everything
 // bookPath needs to replay it at the barrier, plus the completion to
-// hand the arrival time to. A link-flap reservation (fault injection
-// inside a window) sets dst < 0 with src holding the link index and
-// serUnit the outage duration.
+// hand the arrival time to.
 type linkResv struct {
 	src, dst int
 	size     int
@@ -158,8 +156,8 @@ func NewNetwork(eng sim.Kernel, nodes int, p Params) *Network {
 	}
 	clock := eng.Now
 	if sharded != nil {
-		// Window modes prune resources against the window floor — the
-		// conservative lower bound on any in-flight booking — not the
+		// Parallel windows prune resources against the window floor —
+		// the conservative lower bound on any in-flight booking — not the
 		// fired-event clock, which the barrier-applied reservations may
 		// trail by up to the lookahead. Under lockstep execution
 		// WindowFloor is the plain clock.
@@ -354,16 +352,6 @@ func (n *Network) pathLatency(a, b int) sim.Time {
 // from one node to another with no bandwidth booking.
 func (n *Network) ControlLatency(a, b int) sim.Time { return n.pathLatency(a, b) }
 
-// ShardLookahead reports the conservative cross-shard synchronization
-// bound for a partition of this network's nodes: no event on one shard
-// can cause an event on another sooner than InjectionLatency +
-// minCrossHops × HopLatency — the same per-hop cost structure bookPath
-// charges every message, measured over the partition's boundary adjacency
-// (the minimum is exact for the slab partitions PartitionTorus builds).
-func (n *Network) ShardLookahead(p topology.Partition) sim.Time {
-	return n.P.ShardLookahead(p.MinCrossHops())
-}
-
 // Transfer books a data movement of size bytes from srcNode to dstNode on
 // the given unit, ready to start no earlier than `ready`. See
 // unitEngine.Transfer for the booking semantics.
@@ -377,31 +365,22 @@ func (n *Network) Get(requester, target, size int, u Unit, ready sim.Time) (reqD
 	return n.engine(requester, u).Get(target, size, ready)
 }
 
-// WillDefer reports whether a transfer between the two nodes booked right
+// willDefer reports whether a transfer between the two nodes booked right
 // now would defer its path booking (and so its arrival callback) to the
-// window barrier: true only inside a conservative window for a pair that
-// crosses the shard partition. Callers use it to keep the synchronous
-// Transfer/Get fast path when nothing defers and to switch to
-// TransferThen/GetThen — typically with a pooled completion record —
-// when it would.
-func (n *Network) WillDefer(a, b int) bool {
+// window barrier: true only inside a parallel window for a pair that
+// crosses the shard partition. The flat engine never defers.
+func (n *Network) willDefer(a, b int) bool {
 	return n.sharded != nil && n.sharded.Deferring() &&
 		n.sharded.ShardOf(a) != n.sharded.ShardOf(b)
 }
 
 // TransferThen books like Transfer, delivering the destination arrival
 // through done(arg, dstArrive): synchronously unless the pair crosses the
-// shard partition inside a window, in which case the path booking and the
-// callback are deferred to the window barrier. See unitEngine.TransferThen.
+// shard partition inside a parallel window, in which case the path
+// booking and the callback are deferred to the window barrier. See
+// unitEngine.TransferThen.
 func (n *Network) TransferThen(srcNode, dstNode, size int, u Unit, ready sim.Time, done func(any, sim.Time), arg any) (srcDone sim.Time) {
 	return n.engine(srcNode, u).TransferThen(dstNode, size, ready, done, arg)
-}
-
-// GetThen books like Get, delivering the data arrival through done(arg,
-// dataArrive): synchronously unless the pair crosses the shard partition
-// inside a window. See unitEngine.GetThen.
-func (n *Network) GetThen(requester, target, size int, u Unit, ready sim.Time, done func(any, sim.Time), arg any) (reqDone sim.Time) {
-	return n.engine(requester, u).GetThen(target, size, ready, done, arg)
 }
 
 // deferPath queues one cross-shard path booking on the emitting shard's
@@ -453,11 +432,6 @@ func (n *Network) applyReservations() {
 		})
 		for _, ref := range refs {
 			r := &n.resv[ref.shard][ref.idx]
-			if r.dst < 0 {
-				// Deferred link flap: replay the outage booking.
-				n.links[r.src].Acquire(r.launch, r.serUnit)
-				continue
-			}
 			r.done(r.arg, n.bookPath(r.src, r.dst, r.size, r.serUnit, r.launch)+r.extra)
 		}
 		for s := range n.resv {
@@ -486,7 +460,7 @@ type LinkOccupancy struct {
 
 // LinkOccupancies appends every torus link's occupancy fingerprint to dst
 // in link order — the observable the shard-partition invariance property
-// tests compare between the flat engine and the windowed/parallel kernels.
+// tests compare between the flat engine and the lockstep/parallel kernels.
 func (n *Network) LinkOccupancies(dst []LinkOccupancy) []LinkOccupancy {
 	for i := range n.links {
 		r := &n.links[i]
@@ -506,25 +480,9 @@ func (n *Network) FlapLink(link int, at, dur sim.Time) {
 	if li < 0 {
 		li += len(n.links)
 	}
-	n.outageLink(li, at, dur)
+	n.links[li].Acquire(at, dur)
 	if p := n.Eng.Probe(); p != nil {
 		p.FaultNoted(sim.FaultLinkFlap, at)
-	}
-}
-
-// outageLink books one link's outage window, deferring through the
-// reservation outbox when a conservative window is executing (shared by
-// FlapLink and PartitionCut; the caller owns the fault note).
-func (n *Network) outageLink(li int, at, dur sim.Time) {
-	if n.sharded != nil && n.sharded.Deferring() {
-		// Inside a window the flapped link may belong to any shard, so
-		// the outage booking rides the reservation outbox like any other
-		// cross-partition booking and lands at the barrier in timestamp
-		// order (dst < 0 marks a flap). The fault note stays at call
-		// time — probe counters see the flap when it was injected.
-		n.deferPath(n.sharded.CurrentShard(), li, -1, 0, dur, at, 0, nil, nil)
-	} else {
-		n.links[li].Acquire(at, dur)
 	}
 }
 
@@ -587,8 +545,8 @@ func (n *Network) PartitionCut(plane int, at, dur sim.Time) {
 				if src == dst {
 					continue
 				}
-				n.outageLink(int(n.tab.NeighborLink(src, dst)), at, dur)
-				n.outageLink(int(n.tab.NeighborLink(dst, src)), at, dur)
+				n.links[n.tab.NeighborLink(src, dst)].Acquire(at, dur)
+				n.links[n.tab.NeighborLink(dst, src)].Acquire(at, dur)
 			}
 		}
 	}

@@ -45,7 +45,6 @@ type Layer struct {
 	queues  [][]*mpi.Envelope
 	pumping []bool
 	pumps   []pumpState // slab: closure-free pump scheduling args
-	recvs   []recvState // slab: per-PE in-flight blocking-Recv state
 
 	nextBuf int64
 	sends   int64 // SyncSend count (plain field: hot path)
@@ -55,23 +54,6 @@ type Layer struct {
 type pumpState struct {
 	l  *Layer
 	pe int
-}
-
-// recvState is the per-PE blocking-Recv continuation: receiveOne hands it
-// to mpi.RecvThen, which runs finishRecv synchronously when the receive
-// completes within the kernel shard, or at the window barrier when the
-// rendezvous GET crossed the shard partition. One record per PE suffices
-// because the progress engine is strictly sequential: pump stays held
-// while a deferred Recv is in flight.
-//
-//simlint:proto flight oneshot
-type recvState struct {
-	l       *Layer
-	pe      int32
-	pending bool //simlint:proto flight pending
-	held    bool // pump held closed across a barrier-deferred completion
-	s       sim.Time
-	msg     *lrts.Message
 }
 
 // New builds the layer; converse.NewMachine calls Start.
@@ -102,10 +84,6 @@ func (l *Layer) Start(h lrts.Host) {
 	l.queues = make([][]*mpi.Envelope, n)
 	l.pumping = make([]bool, n)
 	l.pumps = make([]pumpState, n)
-	l.recvs = make([]recvState, n)
-	for pe := 0; pe < n; pe++ {
-		l.recvs[pe] = recvState{l: l, pe: int32(pe)}
-	}
 	// One shared arrival hook for every rank: the envelope carries its
 	// destination, so no per-PE closures are needed.
 	onArr := func(env *mpi.Envelope) {
@@ -158,10 +136,7 @@ func (l *Layer) pump(pe int) {
 	}
 	// One-nanosecond yield: a message delivered at exactly t must win the
 	// CPU (its dispatch event is already queued) before the next probe.
-	// Booked onto the PE's own node so the pump executes on the shard that
-	// owns the PE's CPU and queue under windowed kernels (the flat
-	// engine ignores the node hint).
-	eng.AtNodeArg(l.gni.Net.NodeOf(pe), t+1, firePump, &l.pumps[pe])
+	eng.AtArg(t+1, firePump, &l.pumps[pe])
 }
 
 // firePump runs one scheduled progress-engine step (closure-free pump).
@@ -181,14 +156,7 @@ func firePump(arg any) {
 	env := q[0]
 	copy(q, q[1:])
 	l.queues[pe] = q[:len(q)-1]
-	if !l.receiveOne(pe, env, now) {
-		// The blocking Recv deferred across the window barrier: hold the
-		// pump closed so a later message's receive cannot jump ahead of
-		// this one; finishRecv reopens it when the completion lands.
-		l.recvs[pe].held = true
-		l.pumping[pe] = true
-		return
-	}
+	l.receiveOne(pe, env, now)
 	l.pump(pe)
 }
 
@@ -196,10 +164,8 @@ func firePump(arg any) {
 // buffer, blocking-receive, deliver. The probe cost grows with the
 // unexpected-message queue length, modelling the "prolonged MPI_Iprobe"
 // behaviour the paper reports when fine-grain messages flood a rank
-// (capped at 16x the base cost). It reports whether the receive completed
-// synchronously; false means a rendezvous GET crossed the kernel's shard
-// partition and finishRecv will run at the window barrier instead.
-func (l *Layer) receiveOne(pe int, env *mpi.Envelope, at sim.Time) (sync bool) {
+// (capped at 16x the base cost).
+func (l *Layer) receiveOne(pe int, env *mpi.Envelope, at sim.Time) {
 	m := l.gni.Net.P.Mem
 	probeScale := sim.Time(1 + len(l.queues[pe])/4)
 	if probeScale > 16 {
@@ -212,31 +178,10 @@ func (l *Layer) receiveOne(pe int, env *mpi.Envelope, at sim.Time) (sync bool) {
 	if !ok {
 		panic(fmt.Sprintf("mpimachine: foreign payload %T", env.Payload))
 	}
-	st := &l.recvs[pe]
-	st.s, st.msg, st.pending = s, msg, true
-	l.comm.RecvThen(env, l.freshBuf(), e, finishRecv, st)
-	return !st.pending
-}
-
-// finishRecv completes one progress-engine iteration — overhead
-// accounting, handler delivery, and (after a barrier-deferred receive)
-// reopening the pump — in exactly the order the synchronous path ran them.
-//
-//simlint:proto flight complete
-func finishRecv(arg any, done sim.Time) {
-	st := arg.(*recvState)
-	st.pending = false
-	l, pe := st.l, int(st.pe)
-	msg := st.msg
-	st.msg = nil
-	l.host.NoteOverhead(pe, st.s, done)
+	done := l.comm.Recv(env, l.freshBuf(), e)
+	l.host.NoteOverhead(pe, s, done)
 	msg.ReleaseBy = l
 	l.host.Deliver(pe, msg, done)
-	if st.held {
-		st.held = false
-		l.pumping[pe] = false
-		l.pump(pe)
-	}
 }
 
 // ReleaseBuf implements lrts.BufReleaser: the MPI baseline mallocs a fresh

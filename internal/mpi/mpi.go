@@ -114,11 +114,6 @@ type Comm struct {
 	pnodes   mem.FreeList[pendNode]
 	pqueues  mem.FreeList[pendQueue]
 
-	// rflights pools the completion records RecvThen carries through the
-	// network's deferred-reservation path when a rendezvous GET crosses
-	// the kernel's shard partition inside a conservative window.
-	rflights mem.FreeList[rdvFlight]
-
 	// ctr holds the per-call counters as plain fields (a string-keyed map
 	// assign per message is measurable on the hot path); Stats() converts.
 	ctr struct {
@@ -534,61 +529,6 @@ func (c *Comm) Recv(env *Envelope, buf BufID, at sim.Time) sim.Time {
 	// touch env after Recv returns.
 	c.envs.Put(env)
 	return done
-}
-
-// rdvFlight carries one deferred rendezvous receive across the window
-// barrier: the blocking-Recv bookkeeping (retroactive CPU occupation from
-// the Recv call, counter, envelope recycle) plus the caller's completion
-// callback, all applied when the barrier books the GET's return path.
-//
-//simlint:proto flight record
-type rdvFlight struct {
-	c    *Comm
-	env  *Envelope
-	at   sim.Time // when the blocking Recv started occupying the CPU
-	done func(any, sim.Time)
-	arg  any
-}
-
-// rdvArrived finishes a deferred rendezvous receive: the data has fully
-// arrived, so the rank's CPU is booked for the whole blocking span
-// (PEResource accepts the retroactive start — the span begins at the Recv
-// call, before the barrier's clock) and the caller's callback gets the
-// completion time.
-//
-//simlint:proto flight complete
-func rdvArrived(arg any, dataArrive sim.Time) {
-	fl := arg.(*rdvFlight)
-	c, env := fl.c, fl.env
-	end := dataArrive + c.cfg.SoftwareOverhead
-	c.host.CPU(env.Dst).Acquire(fl.at, end-fl.at)
-	c.ctr.recvs++
-	c.envs.Put(env)
-	done, darg := fl.done, fl.arg
-	*fl = rdvFlight{}
-	c.rflights.Put(fl)
-	done(darg, end)
-}
-
-// RecvThen is Recv with the completion time delivered through done(arg,
-// doneAt). Every path Recv completes synchronously — intra-node, eager,
-// and rendezvous within one kernel shard — runs done before returning; a
-// rendezvous whose GET crosses the shard partition inside a conservative
-// window defers the network booking (and the callback) to the window
-// barrier. Progress engines that need the completion time must call this
-// instead of Recv when the kernel may be running parallel windows.
-func (c *Comm) RecvThen(env *Envelope, buf BufID, at sim.Time, done func(any, sim.Time), arg any) {
-	net := c.gni.Net
-	if env.intra || !env.Rendezvous ||
-		!net.WillDefer(net.NodeOf(env.Dst), net.NodeOf(env.Src)) {
-		done(arg, c.Recv(env, buf, at))
-		return
-	}
-	c.dequeue(env)
-	pre := c.cfg.SoftwareOverhead + c.registerCached(env.Dst, buf, env.Size) + net.P.HostPostCPU
-	fl := c.rflights.Get()
-	fl.c, fl.env, fl.at, fl.done, fl.arg = c, env, at, done, arg
-	net.GetThen(net.NodeOf(env.Dst), net.NodeOf(env.Src), env.Size, gemini.UnitBTE, at+pre, rdvArrived, fl)
 }
 
 func (c *Comm) dequeue(env *Envelope) {

@@ -42,11 +42,11 @@ func (c *Comm) ReapDeadSends(node int, drop func(env *Envelope)) int {
 }
 
 // CheckpointReady verifies the communicator holds no protocol state: no
-// sends starved on RC_NOT_DONE, every envelope back in its pool, every
-// pending-queue node and rendezvous-flight record returned. Under the
-// coordination rule (checkpoint only at quiescence) all three follow
-// from message-level quiescence; a violation means the caller tried to
-// snapshot mid-protocol and fails the checkpoint loudly.
+// sends starved on RC_NOT_DONE, every envelope and pending-queue node
+// back in its pool. Under the coordination rule (checkpoint only at
+// quiescence) both follow from message-level quiescence; a violation
+// means the caller tried to snapshot mid-protocol and fails the
+// checkpoint loudly.
 func (c *Comm) CheckpointReady() error {
 	for _, q := range c.pendlist {
 		if q.n != 0 {
@@ -59,7 +59,6 @@ func (c *Comm) CheckpointReady() error {
 	}{
 		{"envelope", c.envs.Outstanding()},
 		{"pend-node", c.pnodes.Outstanding()},
-		{"rendezvous-flight", c.rflights.Outstanding()},
 	} {
 		if p.out != 0 {
 			return fmt.Errorf("mpi: %d %s records outstanding", p.out, p.name)

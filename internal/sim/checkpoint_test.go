@@ -21,24 +21,24 @@ func chainPhase(k Kernel, t0, step Time, n int, log *[]string) {
 	}
 }
 
-// runRoundTrip drives phase 1 on a kernel built by mk, checkpoints at
-// quiescence, then replays phase 2 on a fresh restored kernel; it returns
-// the phase-2 log plus the final clock.
-func runRoundTrip(t *testing.T, mk func() Kernel) ([]string, Time) {
+// runRoundTrip drives phase 1 on an engine, checkpoints at quiescence,
+// then replays phase 2 on a fresh restored engine; it returns the phase-2
+// log plus the final clock.
+func runRoundTrip(t *testing.T) ([]string, Time) {
 	t.Helper()
-	k1 := mk()
+	k1 := NewEngine()
 	var log1 []string
 	chainPhase(k1, 10, 7, 5, &log1)
 	k1.Run()
-	ck, err := k1.(Checkpointer).Checkpoint()
+	ck, err := k1.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if ck.Now != k1.Now() {
 		t.Fatalf("checkpoint clock %v != engine clock %v", ck.Now, k1.Now())
 	}
-	k2 := mk()
-	if err := k2.(Checkpointer).Restore(ck); err != nil {
+	k2 := NewEngine()
+	if err := k2.Restore(ck); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if k2.Now() != ck.Now {
@@ -50,19 +50,10 @@ func runRoundTrip(t *testing.T, mk func() Kernel) ([]string, Time) {
 	return log2, k2.Now()
 }
 
-// TestKernelCheckpointRoundTrip proves the restore contract on both
-// kernels: a fresh kernel restored from a quiescent checkpoint replays a
-// second phase identically to the unbroken run, sequence tie-breaks
-// included, at several shard counts.
+// TestKernelCheckpointRoundTrip proves the restore contract: a fresh
+// engine restored from a quiescent checkpoint replays a second phase
+// identically to the unbroken run, sequence tie-breaks included.
 func TestKernelCheckpointRoundTrip(t *testing.T) {
-	flat := func() Kernel { return NewEngine() }
-	sharded := func(shards int, mode RunMode) func() Kernel {
-		return func() Kernel {
-			se := NewParallelEngine(shards, stripedShards(shards, shards), 3)
-			se.SetRunMode(mode)
-			return se
-		}
-	}
 	// Continuous oracle: both phases on one engine.
 	k := NewEngine()
 	var oracle []string
@@ -71,28 +62,17 @@ func TestKernelCheckpointRoundTrip(t *testing.T) {
 	chainPhase(k, k.Now()+3, 5, 4, &oracle)
 	k.Run()
 	oracle = oracle[10:] // phase 2 only
-	oracleEnd := k.Now()
 
-	for _, tc := range []struct {
-		name string
-		mk   func() Kernel
-	}{
-		{"flat", flat},
-		{"lockstep2", sharded(2, RunLockstep)},
-		{"windowed2", sharded(2, RunWindowed)},
-		{"windowed4", sharded(4, RunWindowed)},
-	} {
-		log, end := runRoundTrip(t, tc.mk)
-		if end != oracleEnd {
-			t.Errorf("%s: resumed end %v, oracle %v", tc.name, end, oracleEnd)
-		}
-		if len(log) != len(oracle) {
-			t.Fatalf("%s: resumed fired %d events, oracle %d", tc.name, len(log), len(oracle))
-		}
-		for i := range log {
-			if log[i] != oracle[i] {
-				t.Errorf("%s: event %d: resumed %q, oracle %q", tc.name, i, log[i], oracle[i])
-			}
+	log, end := runRoundTrip(t)
+	if end != k.Now() {
+		t.Errorf("resumed end %v, oracle %v", end, k.Now())
+	}
+	if len(log) != len(oracle) {
+		t.Fatalf("resumed fired %d events, oracle %d", len(log), len(oracle))
+	}
+	for i := range log {
+		if log[i] != oracle[i] {
+			t.Errorf("event %d: resumed %q, oracle %q", i, log[i], oracle[i])
 		}
 	}
 }

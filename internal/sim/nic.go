@@ -21,17 +21,6 @@ type NICEngine interface {
 	// at ready. It returns when the source side is done with the
 	// transaction and when the payload is visible at the destination.
 	Transfer(dst, size int, ready Time) (srcDone, dstArrive Time)
-	// TransferThen books like Transfer but delivers the destination
-	// arrival time through done(arg, dstArrive) instead of returning it.
-	// Engines whose booking completes immediately call done synchronously
-	// before returning; an engine running inside a conservative shard
-	// window defers the callback to the window barrier when the transfer
-	// crosses the shard partition (its path bookings are applied there in
-	// deterministic order). done runs exactly once, on the coordinating
-	// goroutine, and must not assume it ran before TransferThen returned.
-	// The source-side completion is always known synchronously: the
-	// source engine is shard-local by construction.
-	TransferThen(dst, size int, ready Time, done func(arg any, dstArrive Time), arg any) (srcDone Time)
 	// Enqueue schedules a completion callback at the given time on the
 	// engine's event loop.
 	Enqueue(at Time, fn func())

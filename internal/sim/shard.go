@@ -4,19 +4,20 @@ import "fmt"
 
 // ShardedEngine partitions one simulation's event population across N
 // shards, each a pooled-heap Engine with its own sequence counter owning a
-// group of simulated nodes. Under the window protocols (see RunMode)
-// shards advance inside conservative windows bounded by the kernel
-// lookahead L (for the gemini model, InjectionLatency + minCrossShardHops
-// × HopLatency). Each window, the coordinator computes the horizon
-// H = min-next-event + L, lets every shard fire its local events with
-// t < H, and merges cross-shard sends at the barrier. An event executing
+// group of simulated nodes. Under RunParallel shards advance inside
+// conservative windows bounded by the kernel lookahead L (for the gemini
+// model, InjectionLatency + minCrossShardHops × HopLatency). Each window,
+// the coordinator computes the horizon H = min-next-event + L, lets every
+// shard fire its local events with t < H, and merges cross-shard sends at
+// the barrier. An event executing
 // at τ ≥ min-next-event may schedule remotely only at τ' ≥ τ + L ≥ H, so
 // no remote event can land inside the window that produced it — the
 // Chandy/Misra conservative argument. Cross-shard sends buffer in
 // single-writer outboxes and merge in (timestamp, source shard, emission
 // index) order, so results are independent of goroutine scheduling and of
-// the shard count for shard-confined workloads. The flat Engine stays the
-// machine stack's oracle.
+// the shard count for shard-confined workloads. Run executes the same
+// population in lockstep, the oracle the windows are checked against. The
+// machine stack never runs here: it is built on the flat Engine only.
 type ShardedEngine struct {
 	shards    []*Engine
 	nodeShard []int32
@@ -31,45 +32,21 @@ type ShardedEngine struct {
 	running   bool // workers active inside a window (misuse guard)
 	windowEnd Time
 
-	// Window-protocol mode state (see RunMode). mode selects what Run
-	// executes; inWindow marks a single-threaded window in flight
-	// (RunWindowed's analogue of running); windowFloor is the current
-	// window's minimum event time, the conservative lower bound on any
-	// booking made inside it; barriers are the hooks run after every
-	// window's outbox merge (the network model drains its reservation
-	// outboxes here).
-	mode        RunMode
-	inWindow    bool
+	// Window-protocol state. parallel latches once RunParallel starts;
+	// windowFloor is the current window's minimum event time, the
+	// conservative lower bound on any booking made inside it; barriers
+	// are the hooks run after every window's outbox merge (the network
+	// model drains its reservation outboxes here).
+	parallel    bool
 	windowFloor Time
 	barriers    []func()
 }
-
-// RunMode selects how a ShardedEngine executes events.
-type RunMode int
-
-const (
-	// RunLockstep fires the globally minimal (time, sequence, shard)
-	// event one at a time on the caller's goroutine: no windows, the
-	// oracle the window protocols are checked against on shard-confined
-	// workloads.
-	RunLockstep RunMode = iota
-	// RunWindowed executes the conservative window protocol — horizons,
-	// outbox merges, barrier hooks — single-threaded: shards take their
-	// windows sequentially on the caller's goroutine. Subsystems that
-	// defer cross-shard effects to the barrier (the network model's
-	// reservation path) see exactly the windows RunParallel would give
-	// them, with no worker goroutines.
-	RunWindowed
-	// RunParallel executes the same window protocol with one worker
-	// goroutine per shard.
-	RunParallel
-)
 
 // NewParallelEngine returns a sharded kernel over the given node→shard
 // map with the given conservative lookahead. Shards keep independent
 // sequence counters (workers must not contend on one), so ties at equal
 // timestamps resolve by (sequence, shard) under lockstep execution and by
-// the merge rule under the window protocols. Cross-shard scheduling goes
+// the merge rule under parallel windows. Cross-shard scheduling goes
 // through Shard.Send and must respect the lookahead.
 func NewParallelEngine(shards int, nodeShard []int32, lookahead Time) *ShardedEngine {
 	if shards < 1 {
@@ -110,26 +87,8 @@ func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 // ShardOf reports the shard owning a node.
 func (se *ShardedEngine) ShardOf(node int) int { return int(se.nodeShard[node]) }
 
-// CurrentShard reports the shard whose events are executing: meaningful
-// inside a single-threaded window (RunWindowed) and under lockstep;
-// parallel-window workers must not call it — they know their own shard
-// from their handle.
-func (se *ShardedEngine) CurrentShard() int { return se.cur }
-
 // ShardHandle returns the handle workloads use to schedule on a shard.
 func (se *ShardedEngine) ShardHandle(i int) *Shard { return se.handles[i] }
-
-// SetRunMode selects what Run executes. The mode may be changed between
-// runs, never inside one.
-func (se *ShardedEngine) SetRunMode(m RunMode) {
-	if se.running || se.inWindow {
-		panic("sim: SetRunMode inside a window")
-	}
-	se.mode = m
-}
-
-// Mode reports the configured run mode.
-func (se *ShardedEngine) Mode() RunMode { return se.mode }
 
 // OnBarrier registers fn to run at every window barrier, after the
 // cross-shard outboxes have merged and before the next horizon is
@@ -151,17 +110,17 @@ func (se *ShardedEngine) runBarriers() {
 // now — the condition under which cross-shard effects must buffer
 // (outboxes, reservation lists) and drain at the barrier instead of
 // landing directly.
-func (se *ShardedEngine) Deferring() bool { return se.running || se.inWindow }
+func (se *ShardedEngine) Deferring() bool { return se.running }
 
 // WindowFloor reports the conservative lower bound on the start time of
 // any booking made by in-flight events: the current window's minimum
-// event time in window modes, the global clock in lockstep. GapResources
-// owned by a windowed machine use it as their pruning clock — pruning
-// against the *window floor* instead of the fired-event clock is what
-// keeps barrier-applied reservations (whose start may precede the
+// event time once RunParallel has started, the global clock in lockstep.
+// GapResources owned by a sharded network use it as their pruning clock —
+// pruning against the *window floor* instead of the fired-event clock is
+// what keeps barrier-applied reservations (whose start may precede the
 // horizon) inside the prune-safe region.
 func (se *ShardedEngine) WindowFloor() Time {
-	if se.mode == RunLockstep {
+	if !se.parallel {
 		return se.now
 	}
 	return se.windowFloor
@@ -169,15 +128,8 @@ func (se *ShardedEngine) WindowFloor() Time {
 
 // Now reports the current virtual time (the global clock: the timestamp
 // of the most recently fired event, or the deadline RunUntil advanced
-// to). Inside a single-threaded window this is the executing shard's
-// local clock, so Schedule-relative delays and causality checks see the
-// event's own time exactly as they would under lockstep.
-func (se *ShardedEngine) Now() Time {
-	if se.inWindow {
-		return se.shards[se.cur].now
-	}
-	return se.now
-}
+// to).
+func (se *ShardedEngine) Now() Time { return se.now }
 
 // Fired reports how many events have executed across all shards.
 func (se *ShardedEngine) Fired() uint64 {
@@ -238,7 +190,6 @@ func (se *ShardedEngine) AtArg(t Time, fn func(any), arg any) *Event {
 //simlint:hotpath
 func (se *ShardedEngine) AtNode(node int, t Time, fn func()) *Event {
 	shard := int(se.nodeShard[node])
-	se.checkCross(shard, t)
 	return se.route(shard).At(se.check(t), fn)
 }
 
@@ -247,32 +198,16 @@ func (se *ShardedEngine) AtNode(node int, t Time, fn func()) *Event {
 //simlint:hotpath
 func (se *ShardedEngine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
 	shard := int(se.nodeShard[node])
-	se.checkCross(shard, t)
 	return se.route(shard).AtArg(se.check(t), fn, arg)
 }
 
 // check enforces the flat engine's causality panic against the *global*
-// clock (shard-local clocks lag it between their turns; inside a window
-// Now() is the executing shard's clock, i.e. the event's own time).
+// clock (shard-local clocks lag it between their turns).
 func (se *ShardedEngine) check(t Time) Time {
-	if now := se.Now(); t < now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, now))
+	if t < se.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, se.now))
 	}
 	return t
-}
-
-// checkCross is the windowed-mode tripwire: a cross-shard schedule below
-// the window horizon would fire (or miss firing) depending on which
-// shards have already taken their turn this window — results would
-// depend on the shard count. Any cross-shard effect landing inside the
-// window must go through an outbox or a barrier hook instead; anything
-// at or past the horizon is legal, and the conservative lookahead
-// guarantees physically-delayed effects always are.
-func (se *ShardedEngine) checkCross(shard int, t Time) {
-	if se.inWindow && shard != se.cur && t < se.windowEnd {
-		panic(fmt.Sprintf("sim: cross-shard schedule at %v inside window ending %v (defer through the barrier)",
-			t, se.windowEnd))
-	}
 }
 
 func (se *ShardedEngine) route(shard int) *Engine {
@@ -312,16 +247,11 @@ func (se *ShardedEngine) Step() bool {
 	return se.shards[shard].Step()
 }
 
-// Run fires events until none remain and returns the number fired,
-// executing whatever the configured run mode prescribes: lockstep
-// (default), single-threaded conservative windows, or parallel windows.
+// Run fires events in lockstep until none remain and returns the number
+// fired: the globally minimal (time, sequence, shard) event one at a time
+// on the caller's goroutine, the oracle RunParallel is checked against on
+// shard-confined workloads.
 func (se *ShardedEngine) Run() uint64 {
-	switch se.mode {
-	case RunWindowed:
-		return se.RunWindowed()
-	case RunParallel:
-		return se.RunParallel()
-	}
 	var n uint64
 	for se.Step() {
 		n++
@@ -385,41 +315,6 @@ func (w *shardProbe) Booking(r Booked, at, start, end Time) {
 }
 func (w *shardProbe) FaultNoted(kind FaultKind, now Time) {
 	w.se.probe.FaultNoted(kind, now)
-}
-
-// InstallShardStats equips every shard with its own KernelStats collector
-// (parallel windows must not share one) and returns them in shard order;
-// fold with MergeKernelStats after the run.
-func (se *ShardedEngine) InstallShardStats() []*KernelStats {
-	out := make([]*KernelStats, len(se.shards))
-	for i, sh := range se.shards {
-		out[i] = NewKernelStats()
-		sh.SetProbe(out[i])
-	}
-	return out
-}
-
-// MergeKernelStats folds per-shard collectors into one snapshot. Counters
-// and busy totals sum exactly; PeakPending is the sum of per-shard peaks,
-// a conservative upper bound (the per-shard highs need not coincide).
-func MergeKernelStats(parts ...*KernelStats) *KernelStats {
-	m := NewKernelStats()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		m.Events += p.Events
-		m.Bookings += p.Bookings
-		m.BookedTime += p.BookedTime
-		m.PeakPending += p.PeakPending
-		for k, c := range p.Faults {
-			m.Faults[k] += c
-		}
-		for r, busy := range p.byRes {
-			m.byRes[r] += busy
-		}
-	}
-	return m
 }
 
 // crossEvent is one buffered cross-shard send awaiting merge.
@@ -490,15 +385,15 @@ func (s *Shard) Send(node int, t Time, fn func(any), arg any) {
 
 // RunParallel drives conservative windows until no shard holds events,
 // returning the number fired. The caller's goroutine coordinates; one
-// worker per shard executes. Probes must be per-shard (InstallShardStats)
-// — a single shared probe would race.
+// worker per shard executes. A probe would be shared by every worker and
+// race, so none may be installed.
 //
 //simlint:shard-worker -- coordinator half of the window protocol: hands horizons to workers and barriers on their replies
 func (se *ShardedEngine) RunParallel() uint64 {
 	if se.probe != nil {
-		panic("sim: RunParallel with a shared probe; use InstallShardStats")
+		panic("sim: RunParallel with a probe installed; workers would share it")
 	}
-	se.mode = RunParallel
+	se.parallel = true
 	se.startWorkers()
 	defer se.stopWorkers()
 	var fired uint64
@@ -529,53 +424,6 @@ func (se *ShardedEngine) RunParallel() uint64 {
 	}
 	// Settle the final clock on the last event actually fired, as Run()
 	// does — the window loop overshoots it by up to lookahead-1.
-	var end Time
-	for _, sh := range se.shards {
-		if sh.fired > 0 && sh.lastAt > end {
-			end = sh.lastAt
-		}
-	}
-	if fired > 0 {
-		se.now = end
-	}
-	return fired
-}
-
-// RunWindowed drives the same conservative window protocol as
-// RunParallel — identical horizons, identical outbox merge, identical
-// barrier hooks — entirely on the caller's goroutine: each window, the
-// shards take their turns sequentially, each firing its local events
-// strictly below the horizon. Cross-shard sends still buffer in the
-// outboxes and deferred reservations still drain at the barrier, so a
-// subsystem sees exactly the protocol RunParallel would hand it; only
-// the goroutines are gone. This is the mode the full machine stack runs
-// under: its layers share coordinator-side state (pools, counters,
-// caches) that one goroutine may touch freely, while every cross-shard
-// effect rides the window machinery that the parallel mode exercises
-// under the race detector.
-func (se *ShardedEngine) RunWindowed() uint64 {
-	se.mode = RunWindowed
-	var fired uint64
-	for {
-		_, m, ok := se.pickMin()
-		if !ok {
-			break
-		}
-		horizon := m + se.lookahead
-		se.windowEnd = horizon
-		se.windowFloor = m
-		se.inWindow = true
-		for i := range se.shards {
-			se.cur = i
-			fired += se.shards[i].RunUntil(horizon - 1)
-		}
-		se.inWindow = false
-		if se.now < horizon-1 {
-			se.now = horizon - 1
-		}
-		se.mergeOutboxes()
-		se.runBarriers()
-	}
 	var end Time
 	for _, sh := range se.shards {
 		if sh.fired > 0 && sh.lastAt > end {

@@ -85,43 +85,39 @@ func TestShardedProbeMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestShardedEngineBasics covers the kernel surface a sharded run shares
-// with the flat engine, under lockstep and windowed execution: global
-// pending counts (the probe observes them too), RunUntil deadlines,
-// clocks, and fired totals.
+// TestShardedEngineBasics covers the kernel surface a lockstep sharded
+// run shares with the flat engine: global pending counts (the probe
+// observes them too), RunUntil deadlines, clocks, and fired totals.
 func TestShardedEngineBasics(t *testing.T) {
-	for _, mode := range []RunMode{RunLockstep, RunWindowed} {
-		se := NewParallelEngine(2, []int32{0, 0, 1, 1}, 3)
-		se.SetRunMode(mode)
-		var order []int
-		for i, node := range []int{3, 0, 2, 1} {
-			se.AtNode(node, 10, func() { order = append(order, i) })
-		}
-		se.Schedule(5, func() { order = append(order, 99) })
-		if se.Pending() != 5 {
-			t.Fatalf("mode %d: pending %d, want 5", mode, se.Pending())
-		}
-		var pending []int
-		se.SetProbe(probeFunc(func(_ Time, p int) { pending = append(pending, p) }))
-		if n := se.RunUntil(7); n != 1 {
-			t.Fatalf("mode %d: RunUntil(7) fired %d, want 1", mode, n)
-		}
-		if se.Now() != 7 {
-			t.Fatalf("mode %d: Now after RunUntil(7) = %v", mode, se.Now())
-		}
-		if n := se.Run(); n != 4 {
-			t.Fatalf("mode %d: Run fired %d, want 4", mode, n)
-		}
-		if se.Now() != 10 || se.Fired() != 5 || se.Pending() != 0 {
-			t.Fatalf("mode %d: after Run now=%v fired=%d pending=%d, want 10/5/0",
-				mode, se.Now(), se.Fired(), se.Pending())
-		}
-		if len(order) != 5 || order[0] != 99 {
-			t.Fatalf("mode %d: firing order %v, want the t=5 event first and all five fired", mode, order)
-		}
-		if want := []int{4, 3, 2, 1, 0}; !slices.Equal(pending, want) {
-			t.Fatalf("mode %d: probe saw pending %v, want the global counts %v", mode, pending, want)
-		}
+	se := NewParallelEngine(2, []int32{0, 0, 1, 1}, 3)
+	var order []int
+	for i, node := range []int{3, 0, 2, 1} {
+		se.AtNode(node, 10, func() { order = append(order, i) })
+	}
+	se.Schedule(5, func() { order = append(order, 99) })
+	if se.Pending() != 5 {
+		t.Fatalf("pending %d, want 5", se.Pending())
+	}
+	var pending []int
+	se.SetProbe(probeFunc(func(_ Time, p int) { pending = append(pending, p) }))
+	if n := se.RunUntil(7); n != 1 {
+		t.Fatalf("RunUntil(7) fired %d, want 1", n)
+	}
+	if se.Now() != 7 {
+		t.Fatalf("Now after RunUntil(7) = %v", se.Now())
+	}
+	if n := se.Run(); n != 4 {
+		t.Fatalf("Run fired %d, want 4", n)
+	}
+	if se.Now() != 10 || se.Fired() != 5 || se.Pending() != 0 {
+		t.Fatalf("after Run now=%v fired=%d pending=%d, want 10/5/0",
+			se.Now(), se.Fired(), se.Pending())
+	}
+	if len(order) != 5 || order[0] != 99 {
+		t.Fatalf("firing order %v, want the t=5 event first and all five fired", order)
+	}
+	if want := []int{4, 3, 2, 1, 0}; !slices.Equal(pending, want) {
+		t.Fatalf("probe saw pending %v, want the global counts %v", pending, want)
 	}
 }
 

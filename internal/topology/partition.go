@@ -61,35 +61,6 @@ func (p Partition) Nodes() int { return p.nodes }
 // ShardOf reports the shard owning a node.
 func (p Partition) ShardOf(node int) int { return int(p.shard[node]) }
 
-// LinkShards returns the link→shard ownership map induced by the
-// partition: every directional link is owned by the shard of its source
-// router, computed with the same balanced-slab formula as NodeShard. The
-// map covers the torus's full link index space — including links whose
-// source router is a padding node (ID >= Nodes()) — because
-// dimension-ordered routes may transit padding routers of the shaped
-// box. Slab cuts are what make this an ownership proof: a
-// dimension-ordered route between two nodes of one slab never leaves
-// the slab (each dimension moves monotonically toward its target
-// coordinate, and the cut dimension's interval is contiguous), so every
-// link of an intra-shard route is owned by that shard and may be booked
-// with zero coordination.
-func (p Partition) LinkShards() []int32 {
-	t := p.T
-	dims := t.Dims()
-	size := dims[p.Dim]
-	out := make([]int32, t.NumLinks())
-	for node := 0; node < t.Nodes(); node++ {
-		var c [NumDims]int
-		c[0], c[1], c[2] = t.Coords(node)
-		s := int32(c[p.Dim] * p.Shards / size)
-		base := node * NumDims * 2
-		for k := 0; k < NumDims*2; k++ {
-			out[base+k] = s
-		}
-	}
-	return out
-}
-
 // MinCrossHops reports the minimal torus hop distance between any two
 // used nodes in different shards — the hop count that, priced with the
 // network's per-hop latency model, bounds how soon a cross-shard event

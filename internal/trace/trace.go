@@ -35,8 +35,7 @@ type interval struct {
 // derived at rendering time as bin capacity minus recorded busy time.
 //
 // Add order does not matter: the journal is sorted by timestamp before
-// binning, so a Recorder fed out of chronological order — or assembled
-// with Merge from per-shard recorders of a sharded kernel run — renders
+// binning, so a Recorder fed out of chronological order renders
 // byte-identically to one fed a single monotone stream. (The bin sums are
 // commutative anyway; sorting makes the canonical order explicit so every
 // future consumer of the journal inherits the tolerance.)
@@ -80,28 +79,6 @@ func (r *Recorder) Add(pe int, kind Kind, from, to sim.Time) {
 		r.totalOvh += to - from
 	}
 	r.iv = append(r.iv, interval{from: from, to: to, pe: int32(pe), kind: kind})
-	r.settled = false
-}
-
-// Merge folds another recorder's journal into this one. The two must share
-// a bin width; the merged profile uses the larger PE count. This is how a
-// sharded run traces: each shard feeds its own Recorder, and the merge +
-// timestamp sort at render reproduces the single-stream profile exactly,
-// whatever order the shards produced their intervals in.
-func (r *Recorder) Merge(o *Recorder) {
-	if o.binWidth != r.binWidth {
-		panic(fmt.Sprintf("trace: merging recorders with bin widths %v and %v",
-			r.binWidth, o.binWidth))
-	}
-	if o.pes > r.pes {
-		r.pes = o.pes
-	}
-	if o.maxT > r.maxT {
-		r.maxT = o.maxT
-	}
-	r.totalApp += o.totalApp
-	r.totalOvh += o.totalOvh
-	r.iv = append(r.iv, o.iv...)
 	r.settled = false
 }
 

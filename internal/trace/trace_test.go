@@ -111,50 +111,3 @@ func TestAddOrderIrrelevant(t *testing.T) {
 		t.Fatalf("totals differ: %v/%v vs %v/%v", ra, ro, fa, fo)
 	}
 }
-
-func TestMergeMatchesSingleStream(t *testing.T) {
-	// Two per-shard recorders merged in either order must reproduce the
-	// single-stream recorder exactly.
-	whole := NewRecorder(4, 10*sim.Microsecond)
-	s0 := NewRecorder(4, 10*sim.Microsecond)
-	s1 := NewRecorder(4, 10*sim.Microsecond)
-	for i := 0; i < 40; i++ {
-		pe := i % 4
-		from := sim.Time(i) * 3 * sim.Microsecond
-		to := from + 5*sim.Microsecond
-		kind := KindApp
-		if i%3 == 0 {
-			kind = KindOverhead
-		}
-		whole.Add(pe, kind, from, to)
-		if pe < 2 {
-			s0.Add(pe, kind, from, to)
-		} else {
-			s1.Add(pe, kind, from, to)
-		}
-	}
-	ab := NewRecorder(4, 10*sim.Microsecond)
-	ab.Merge(s0)
-	ab.Merge(s1)
-	ba := NewRecorder(4, 10*sim.Microsecond)
-	ba.Merge(s1)
-	ba.Merge(s0)
-	want := whole.Render(40)
-	if got := ab.Render(40); got != want {
-		t.Fatalf("merge (s0,s1) differs from single stream:\n%s\nvs\n%s", got, want)
-	}
-	if got := ba.Render(40); got != want {
-		t.Fatalf("merge (s1,s0) differs from single stream:\n%s\nvs\n%s", got, want)
-	}
-}
-
-func TestMergeBinWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge with mismatched bin widths did not panic")
-		}
-	}()
-	a := NewRecorder(1, sim.Microsecond)
-	b := NewRecorder(1, 2*sim.Microsecond)
-	a.Merge(b)
-}

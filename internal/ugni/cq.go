@@ -177,46 +177,6 @@ type cqNode struct {
 	ev Event
 }
 
-// cqFlight carries the CQ deliveries of one network transfer through the
-// TransferThen/GetThen completion path: when the transfer crosses the
-// kernel's shard partition inside a conservative window, the network
-// defers the path booking — and with it this record — to the window
-// barrier; intra-shard transfers complete synchronously through the very
-// same callback. ev holds the prototype event (Type already set for the
-// remote-side delivery); the local-side delivery, when present, is the
-// same event retyped EvRdmaLocal. Pooled on the owning GNI (g.flights).
-//
-//simlint:proto flight record
-type cqFlight struct {
-	g      *GNI
-	local  *CQ // EvRdmaLocal at arrival (GET), nil otherwise
-	remote *CQ // arrival-side queue (EvSmsg / EvRdmaRemote), may be nil
-	ev     Event
-}
-
-// flightArrived is the network completion callback for every deferred (or
-// inline) transfer a cqFlight tracks: it fans the arrival out to the
-// local/remote queues in the same order the synchronous path pushes them,
-// then recycles the record.
-//
-//simlint:hotpath
-//simlint:proto flight complete
-func flightArrived(arg any, arrive sim.Time) {
-	fl := arg.(*cqFlight)
-	g := fl.g
-	at := arrive + g.Net.P.CQLatency
-	if fl.local != nil {
-		lev := fl.ev
-		lev.Type = EvRdmaLocal
-		fl.local.push(at, lev)
-	}
-	if fl.remote != nil {
-		fl.remote.push(at, fl.ev)
-	}
-	*fl = cqFlight{}
-	g.flights.Put(fl)
-}
-
 // deliverCQ is the engine callback for every CQ delivery (closure-free
 // dispatch: one package-level function, pooled argument).
 func deliverCQ(arg any) {

@@ -46,14 +46,11 @@ type GNI struct {
 
 	// cqNodes pools in-flight CQ deliveries; descs pools post descriptors
 	// for callers that follow the acquire/release contract (NewPostDesc /
-	// ReleasePostDesc). See DESIGN.md §2.2. flights and amoFlights pool the
-	// completion records a cross-shard transfer carries through the
-	// network's deferred-reservation path (DESIGN.md §2.4): acquired at
-	// send time, released when the window barrier (or the synchronous
-	// inline path) delivers the arrival.
+	// ReleasePostDesc). See DESIGN.md §2.2. amoFlights and creditFlights
+	// pool the records an AMO request and a returning credit carry
+	// between their wire booking and the event that applies them.
 	cqNodes       mem.FreeList[cqNode]
 	descs         mem.FreeList[PostDesc]
-	flights       mem.FreeList[cqFlight]
 	amoFlights    mem.FreeList[amoFlight]
 	creditFlights mem.FreeList[creditFlight]
 
@@ -202,14 +199,11 @@ func (g *GNI) conn(src, dst int) *smsgConn {
 // carried: the receive side dequeued a message, freeing its mailbox slot.
 // Intra-node the window reopens immediately; internode the credit rides a
 // control packet back to the sender's NIC, so the decrement lands one
-// ControlLatency later — as an event on the *sender's* node. That flight
-// keeps every mutation of an outbound credit window on the shard that owns
-// the sender (the receive side only launches the packet), which is what
-// lets conservative windows replay the flat engine's credit protocol
-// exactly: the control latency is never shorter than the shard lookahead,
-// so the booking always lands at or beyond the current window's barrier.
-// If the sender starved while the window was full, one EvCreditReturn
-// notification is delivered to its SMSG receive CQ when the credit lands.
+// ControlLatency later — as an event on the *sender's* node, so every
+// mutation of an outbound credit window happens at the sender (the
+// receive side only launches the packet). If the sender starved while the
+// window was full, one EvCreditReturn notification is delivered to its
+// SMSG receive CQ when the credit lands.
 //
 //simlint:proto credit return
 func (g *GNI) smsgConsumed(c *smsgConn, src, dst int, now sim.Time) {
@@ -406,15 +400,11 @@ func (g *GNI) SmsgSendWTag(src, dst int, tag uint8, size int, payload any, at si
 	g.creditsInFlight++
 	g.creditConsumed++
 	// Book through the node's SMSG NIC engine (FMA hardware, mailbox
-	// protocol overhead). The arrival rides a flight record: an intra-shard
-	// transfer delivers it synchronously right here (the same push order as
-	// ever), a cross-partition transfer inside a window delivers it at the
-	// barrier. The source-side completion is always synchronous — the
-	// sending engine is shard-local.
-	fl := g.flights.Get()
-	fl.g, fl.remote = g, rx
-	fl.ev = Event{Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload, credit: c}
-	srcDone := g.Net.TransferThen(g.Net.NodeOf(src), g.Net.NodeOf(dst), size, gemini.UnitSMSG, at, flightArrived, fl)
+	// protocol overhead); the delivery is pushed before the TX_DONE.
+	srcDone, arrive := g.Net.Transfer(g.Net.NodeOf(src), g.Net.NodeOf(dst), size, gemini.UnitSMSG, at)
+	rx.push(arrive+g.Net.P.CQLatency, Event{
+		Type: EvSmsg, Src: src, Dst: dst, Tag: tag, Size: size, Payload: payload, credit: c,
+	})
 	if txCQ != nil {
 		txCQ.push(srcDone+g.Net.P.CQLatency, Event{
 			Type: EvTxDone, Src: src, Dst: dst, Tag: tag, Size: size,
@@ -502,32 +492,6 @@ func (g *GNI) post(d *PostDesc, unit gemini.Unit, at sim.Time) sim.Time {
 	}
 	iNode := g.Net.NodeOf(d.Initiator)
 	rNode := g.Net.NodeOf(d.Remote)
-	if g.Net.WillDefer(iNode, rNode) {
-		// Cross-partition post inside a conservative window: the remote
-		// arrival is not knowable until the barrier books the path, so the
-		// arrival-side events ride a flight record through the network's
-		// deferred-reservation path. A PUT's local completion (source buffer
-		// free) is the engine-side time, which is shard-local and known now.
-		fl := g.flights.Get()
-		fl.g, fl.remote = g, d.RemoteCQ
-		fl.ev = Event{Type: EvRdmaRemote, Src: d.Initiator, Dst: d.Remote, Tag: d.Tag,
-			Size: d.Size, Payload: d.Payload, Desc: d}
-		switch d.Kind {
-		case PostPut:
-			srcDone := g.Net.TransferThen(iNode, rNode, d.Size, unit, at, flightArrived, fl)
-			if d.LocalCQ != nil {
-				lev := fl.ev
-				lev.Type = EvRdmaLocal
-				d.LocalCQ.push(srcDone+g.Net.P.CQLatency, lev)
-			}
-		case PostGet:
-			fl.local = d.LocalCQ
-			g.Net.GetThen(iNode, rNode, d.Size, unit, at, flightArrived, fl)
-		default:
-			panic("ugni: unknown post kind")
-		}
-		return g.Net.P.HostPostCPU
-	}
 	var localDone, remoteDone sim.Time
 	switch d.Kind {
 	case PostPut:
