@@ -80,11 +80,13 @@ resilience-matrix:
 	$(GO) test -race -count=1 -run 'TestResilience|TestCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
 
-# Quick microbenchmark pass over the kernel and uGNI SMSG hot paths plus
+# Quick microbenchmark pass over the kernel and uGNI SMSG hot paths, a
+# small chunked N-Queens run (allocs/op of the pooled task messages), and
 # the end-to-end fig9a wall-clock benchmark.
 bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkSmsgSendWTag -benchtime 100000x ./internal/ugni/
+	$(GO) test -run - -bench BenchmarkNQueensChunked -benchtime 20x ./internal/ssse/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
 # Ten seconds of coverage-guided fuzzing of GapResource against its linear

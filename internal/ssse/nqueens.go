@@ -21,9 +21,11 @@ package ssse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"charmgo/internal/converse"
 	"charmgo/internal/lrts"
+	"charmgo/internal/mem"
 	"charmgo/internal/sim"
 )
 
@@ -37,7 +39,7 @@ var Solutions = map[int]uint64{
 
 // Config describes one N-Queens run.
 type Config struct {
-	// N is the board size.
+	// N is the board size, 1..MaxN.
 	N int
 	// Threshold is the parallel depth: the first Threshold queens are
 	// placed by parallel tasks, the rest sequentially (paper Section V-C).
@@ -64,6 +66,10 @@ type Config struct {
 	ChunkSize int
 }
 
+// MaxN is the largest board a run accepts: a board state packs each
+// occupancy mask into 32 bits.
+const MaxN = 32
+
 // StateBytes is the marshalled size of one additional board state in a
 // chunked task message.
 const StateBytes = 40
@@ -74,6 +80,15 @@ const StateBytes = 40
 const DefaultPerNodeCost = 14 * sim.Nanosecond
 
 func (c Config) withDefaults() Config {
+	if c.N < 1 || c.N > MaxN {
+		panic(fmt.Sprintf("ssse: %d-queens outside 1..%d", c.N, MaxN))
+	}
+	if c.N > 16 {
+		c.Synthetic = true
+	}
+	if _, ok := Solutions[c.N]; c.Synthetic && !ok {
+		panic(fmt.Sprintf("ssse: synthetic mode needs the %d-queens solution count to calibrate", c.N))
+	}
 	if c.PerNodeCost == 0 {
 		c.PerNodeCost = DefaultPerNodeCost
 	}
@@ -104,13 +119,19 @@ type Result struct {
 	Elapsed sim.Time
 }
 
-// state is one partial placement.
+// state is one partial placement: 16 bytes, with the occupancy masks
+// widened to uint64 wherever they are used.
 type state struct {
-	cols, d1, d2 uint64
-	row          int
+	cols, d1, d2 uint32
+	row          int32
 }
 
-// chunk is a task message: one or more sibling states.
+// chunk is a task message: one or more sibling states. Chunks come from
+// the solver's free list with a states backing of capacity ChunkSize,
+// and the task that receives one releases it at the end of onTask, once
+// every state has been expanded or solved. Nothing replays a processed
+// chunk: converse.Checkpoint refuses to run with messages queued, so a
+// restored machine never redelivers one.
 type chunk struct {
 	states []state
 }
@@ -127,16 +148,25 @@ type solver struct {
 	solutions uint64
 	tasks     uint64
 	nodes     uint64
+
+	// chunks and spare pool the task messages: a released chunk's states
+	// backing goes on spare (FreeList.Put zeroes the record), and the
+	// next chunk built takes it back.
+	chunks mem.FreeList[chunk]
+	spare  [][]state
 }
 
 // Run executes the N-Queens search on the machine and returns the result.
 // The machine must be freshly constructed (no other workload).
 func Run(m *converse.Machine, cfg Config) Result {
+	return new(solver).run(m, cfg)
+}
+
+// run is Run on this solver. Only the chunk pool carries over from an
+// earlier run; every other field starts fresh.
+func (s *solver) run(m *converse.Machine, cfg Config) Result {
 	cfg = cfg.withDefaults()
-	if !cfg.Synthetic && cfg.N > 16 {
-		cfg.Synthetic = true
-	}
-	s := &solver{cfg: cfg, m: m}
+	*s = solver{cfg: cfg, m: m, chunks: s.chunks, spare: s.spare}
 	for pe := 0; pe < m.NumPEs(); pe++ {
 		s.rngs = append(s.rngs, sim.NewRNG(cfg.Seed+uint64(pe)*0x9e37+1))
 	}
@@ -149,7 +179,9 @@ func Run(m *converse.Machine, cfg Config) Result {
 
 	var done sim.Time
 	m.OnQuiescence(func(at sim.Time) { done = at })
-	m.Inject(0, s.handler, &chunk{states: []state{{row: 0}}}, cfg.TaskMsgSize, 0)
+	root := s.chunks.Get()
+	root.states = append(s.backing(), state{})
+	m.Inject(0, s.handler, root, cfg.TaskMsgSize, 0)
 	m.Run()
 	return Result{
 		Solutions: s.solutions,
@@ -169,39 +201,60 @@ func (s *solver) onTask(ctx *converse.Ctx, msg *lrts.Message) {
 	ch := msg.Data.(*chunk)
 	s.tasks++
 	cfg := s.cfg
+	full := mask(cfg.N)
 	var buf []state
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		size := cfg.TaskMsgSize + (len(buf)-1)*StateBytes
-		ctx.Send(s.rngs[ctx.PE()].Intn(ctx.NumPEs()), s.handler, &chunk{states: buf}, size)
-		buf = nil
-	}
 	for _, st := range ch.states {
-		if st.row >= cfg.Threshold {
+		if int(st.row) >= cfg.Threshold {
 			s.solveSubtree(ctx, st)
 			continue
 		}
 		// Expand one row; valid placements become (bundled) child tasks.
 		s.nodes++
 		ctx.Compute(cfg.PerNodeCost)
-		avail := ^(st.cols | st.d1 | st.d2) & mask(cfg.N)
+		cols, d1, d2 := uint64(st.cols), uint64(st.d1), uint64(st.d2)
+		avail := ^(cols | d1 | d2) & full
 		for avail != 0 {
 			bit := avail & (-avail)
 			avail ^= bit
+			if buf == nil {
+				buf = s.backing()
+			}
 			buf = append(buf, state{
-				cols: st.cols | bit,
-				d1:   ((st.d1 | bit) << 1) & mask(cfg.N),
-				d2:   (st.d2 | bit) >> 1,
+				cols: uint32(cols | bit),
+				d1:   uint32(((d1 | bit) << 1) & full),
+				d2:   uint32((d2 | bit) >> 1),
 				row:  st.row + 1,
 			})
 			if len(buf) == cfg.ChunkSize {
-				flush()
+				s.send(ctx, buf)
+				buf = nil
 			}
 		}
 	}
-	flush()
+	if buf != nil {
+		s.send(ctx, buf)
+	}
+	s.spare = append(s.spare, ch.states[:0])
+	s.chunks.Put(ch)
+}
+
+// backing returns an empty states slice of capacity ChunkSize, recycled
+// from a released chunk when one is spare.
+func (s *solver) backing() []state {
+	if n := len(s.spare); n > 0 {
+		b := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return b
+	}
+	return make([]state, 0, s.cfg.ChunkSize)
+}
+
+// send bundles states into a pooled chunk and sends it to a random PE.
+func (s *solver) send(ctx *converse.Ctx, states []state) {
+	c := s.chunks.Get()
+	c.states = states
+	size := s.cfg.TaskMsgSize + (len(states)-1)*StateBytes
+	ctx.Send(s.rngs[ctx.PE()].Intn(ctx.NumPEs()), s.handler, c, size)
 }
 
 // solveSubtree handles a state at the threshold depth.
@@ -213,7 +266,7 @@ func (s *solver) solveSubtree(ctx *converse.Ctx, st state) {
 		ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
 		return
 	}
-	sol, nodes := count(st.cols, st.d1, st.d2, st.row, cfg.N)
+	sol, nodes := count(uint64(st.cols), uint64(st.d1), uint64(st.d2), int(st.row), cfg.N)
 	s.solutions += sol
 	s.nodes += nodes
 	ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
@@ -225,7 +278,7 @@ func (s *solver) solveSubtree(ctx *converse.Ctx, st state) {
 // tail is what produces the end-of-run load imbalance visible in the
 // paper's Figure 12.
 func (s *solver) syntheticNodes(st state) uint64 {
-	h := sim.Mix(st.cols*0x1f3 ^ st.d1*0x9e5 ^ st.d2*0x2d7 ^ uint64(st.row))
+	h := sim.Mix(uint64(st.cols)*0x1f3 ^ uint64(st.d1)*0x9e5 ^ uint64(st.d2)*0x2d7 ^ uint64(st.row))
 	u := float64(h>>11) / (1 << 53)
 	skew := 0.3 * math.Pow(1-u, -0.7)
 	if skew > 1000 {
@@ -264,17 +317,35 @@ func Count(n int) (solutions, nodes uint64) {
 
 // CountPartials counts the valid partial placements at exactly the given
 // depth — the number of parallel tasks a run with that threshold executes
-// at the leaf level.
+// at the leaf level. It counts the last row with a popcount and uses the
+// board's left-right mirror symmetry on row 0: every placement with its
+// first queen in column c mirrors one with it in column n-1-c.
 func CountPartials(n, depth int) uint64 {
-	return countPartials(0, 0, 0, 0, n, depth)
+	if depth == 0 {
+		return 1
+	}
+	full := mask(n)
+	var total uint64
+	for col := 0; col < (n+1)/2; col++ {
+		bit := uint64(1) << uint(col)
+		c := countPartials(bit, (bit<<1)&full, bit>>1, 1, n, depth)
+		if 2*col+1 < n {
+			c *= 2 // column n-1-col mirrors this one
+		}
+		total += c
+	}
+	return total
 }
 
 func countPartials(cols, d1, d2 uint64, row, n, depth int) uint64 {
 	if row == depth {
 		return 1
 	}
-	var total uint64
 	avail := ^(cols | d1 | d2) & mask(n)
+	if row == depth-1 {
+		return uint64(bits.OnesCount64(avail))
+	}
+	var total uint64
 	for avail != 0 {
 		bit := avail & (-avail)
 		avail ^= bit

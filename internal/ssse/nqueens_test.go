@@ -1,6 +1,7 @@
 package ssse_test
 
 import (
+	"strings"
 	"testing"
 
 	"charmgo"
@@ -88,6 +89,31 @@ func TestCountPartials(t *testing.T) {
 	}
 }
 
+// partialsOracle counts partial placements by plain recursion over every
+// row, the reference for CountPartials' popcount and mirror shortcuts.
+func partialsOracle(cols, d1, d2 uint64, row, n, depth int) uint64 {
+	if row == depth {
+		return 1
+	}
+	full := uint64(1)<<uint(n) - 1
+	var total uint64
+	for avail := ^(cols | d1 | d2) & full; avail != 0; avail &= avail - 1 {
+		bit := avail & -avail
+		total += partialsOracle(cols|bit, ((d1|bit)<<1)&full, (d2|bit)>>1, row+1, n, depth)
+	}
+	return total
+}
+
+func TestCountPartialsMatchesRecursion(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		for depth := 0; depth <= n; depth++ {
+			if got, want := ssse.CountPartials(n, depth), partialsOracle(0, 0, 0, 0, n, depth); got != want {
+				t.Fatalf("CountPartials(%d, %d) = %d, want %d", n, depth, got, want)
+			}
+		}
+	}
+}
+
 func TestSyntheticModePreservesTotalScale(t *testing.T) {
 	// Synthetic totals should land within a factor of ~2 of the configured
 	// ratio x solutions (the skew is mean-preserving).
@@ -155,6 +181,29 @@ func TestBadThresholdPanics(t *testing.T) {
 	ssse.Run(newMachine(1, 1, charmgo.LayerUGNI), ssse.Config{N: 5, Threshold: 9})
 }
 
+func TestBadConfigPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ssse.Config
+	}{
+		{"zero board", ssse.Config{N: 0, Threshold: 1}},
+		{"negative board", ssse.Config{N: -3, Threshold: 1}},
+		{"board wider than the state masks", ssse.Config{N: ssse.MaxN + 1, Threshold: 4}},
+		{"synthetic without a solution count", ssse.Config{N: 20, Threshold: 4, Synthetic: true}},
+		{"large board turns synthetic without a solution count", ssse.Config{N: ssse.MaxN, Threshold: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "ssse: ") {
+					t.Fatalf("%+v: want a config panic from ssse, got %q", tc.cfg, msg)
+				}
+			}()
+			ssse.Run(newMachine(1, 1, charmgo.LayerUGNI), tc.cfg)
+		})
+	}
+}
+
 func TestChunkingReducesMessagesPreservesResult(t *testing.T) {
 	cfg1 := ssse.Config{N: 10, Threshold: 4, Seed: 9, ChunkSize: 1}
 	cfg8 := ssse.Config{N: 10, Threshold: 4, Seed: 9, ChunkSize: 8}
@@ -181,5 +230,23 @@ func TestPaperScaleMessageCounts(t *testing.T) {
 	}
 	if msgs := p6 / 100; msgs < 10_000 || msgs > 20_000 {
 		t.Fatalf("chunked message estimate %d, want ~15K", msgs)
+	}
+}
+
+// BenchmarkNQueensChunked times one small synthetic-cost run with bundled
+// tasks; allocs/op shows whether task messages stay off the heap.
+func BenchmarkNQueensChunked(b *testing.B) {
+	cfg := ssse.Config{N: 12, Threshold: 5, Synthetic: true, Seed: 1, ChunkSize: 16}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := newMachine(2, 4, charmgo.LayerUGNI)
+		b.StartTimer()
+		ssse.Run(m, cfg)
+		b.StopTimer()
+		net := m.Net()
+		m.Close()
+		net.Close()
+		b.StartTimer()
 	}
 }
