@@ -80,21 +80,27 @@ resilience-matrix:
 	$(GO) test -race -count=1 -run 'TestResilience|TestCheckpointRoundTrip|TestFailoverPathsDrainPools' ./internal/bench/
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
 
-# Quick microbenchmark pass over the kernel and uGNI SMSG hot paths, a
+# Quick microbenchmark pass over the kernel and uGNI SMSG hot paths (the
+# event queue at the pingpong and namd population shapes included), a
 # small chunked N-Queens run (allocs/op of the pooled task messages), and
 # the end-to-end fig9a wall-clock benchmark.
 bench-smoke:
 	$(GO) test -run - -bench 'BenchmarkEngineScheduleFire|BenchmarkGapResourceAcquire' -benchtime 100000x ./internal/sim/
+	$(GO) test -run - -bench BenchmarkEngineQueue -benchtime 200x ./internal/sim/
 	$(GO) test -run - -bench BenchmarkSmsgSendWTag -benchtime 100000x ./internal/ugni/
 	$(GO) test -run - -bench BenchmarkNQueensChunked -benchtime 20x ./internal/ssse/
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
-# Ten seconds of coverage-guided fuzzing of GapResource against its linear
-# reference under a forward-only clock. `go test` runs only the checked-in
-# corpus (internal/sim/testdata/fuzz/FuzzGapResource); a failing input
-# found here is written there and becomes a regression case.
+# Ten seconds each of coverage-guided fuzzing of GapResource against its
+# linear reference under a forward-only clock, and of the event kernel's
+# firing order (flat and lockstep sharded) against a sort-by-key
+# reference. `go test` runs only the checked-in corpora
+# (internal/sim/testdata/fuzz/<target>); a failing input found here is
+# written there and becomes a regression case. -fuzz takes one target per
+# invocation.
 fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
+	$(GO) test -run - -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim/
 
 # CPU and allocation profiles of the end-to-end fig9a benchmark, written
 # to /tmp. Inspect with `go tool pprof -top /tmp/charmgo_cpu.prof` (or

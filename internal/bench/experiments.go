@@ -22,6 +22,8 @@ type Options struct {
 	Quick bool
 	// Seed for workloads with random placement.
 	Seed uint64
+
+	kernels *kernelLog // records the kernels Fig9a and queensMachine build
 }
 
 // Experiment is one reproducible figure or table.
@@ -198,11 +200,11 @@ func Fig9a(o Options) []*stats.Table {
 	rows := make([][5]float64, len(sizes))
 	for i, size := range sizes {
 		rows[i] = [5]float64{
-			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size}.OneWay()),
-			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size}.OneWay()),
-			us(PureMPIOneWay(size, true, false)),
-			us(PureMPIOneWay(size, false, false)),
-			us(PureUGNIOneWay(size)),
+			us(CharmPingPong{Layer: charmgo.LayerUGNI, Size: size, kernels: o.kernels}.OneWay()),
+			us(CharmPingPong{Layer: charmgo.LayerMPI, Size: size, kernels: o.kernels}.OneWay()),
+			us(pureMPIOneWay(size, true, false, o.kernels)),
+			us(pureMPIOneWay(size, false, false, o.kernels)),
+			us(pureUGNIOneWay(size, o.kernels)),
 		}
 	}
 	t := stats.NewTable("Fig 9a: one-way latency (us)",
@@ -269,7 +271,7 @@ func geomFor(cores int) (nodes, coresPerNode int) {
 // queensMachine builds a machine with exactly the given core count.
 func (o Options) queensMachine(cores int, layer charmgo.LayerKind, tracer *trace.Recorder) *charmgo.Machine {
 	nodes, cpn := geomFor(cores)
-	return charmgo.NewMachine(charmgo.MachineConfig{
+	return o.kernels.machine(charmgo.MachineConfig{
 		Nodes: nodes, CoresPerNode: cpn, Layer: layer, Tracer: tracer,
 	})
 }

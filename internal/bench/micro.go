@@ -21,11 +21,41 @@ import (
 // simulator is deterministic, so a modest count suffices for steady state.
 const pingIters = 20
 
-// newStack builds a bare network + GNI (no runtime) for pure benchmarks.
-func newStack(nodes int) (sim.Kernel, *gemini.Network, *ugni.GNI) {
+// newStack builds a bare network + GNI (no runtime) for pure benchmarks,
+// recording its kernel in kl.
+func newStack(nodes int, kl *kernelLog) (sim.Kernel, *gemini.Network, *ugni.GNI) {
 	eng := sim.NewEngine()
+	kl.record(eng)
 	net := gemini.NewNetwork(eng, nodes, gemini.DefaultParams())
 	return eng, net, ugni.New(net)
+}
+
+// kernelLog records the event kernels an experiment builds, each with a
+// KernelStats probe attached before it fires anything, so a test can read
+// their work counters once the run is over. A nil log records nothing.
+type kernelLog struct {
+	engines []*sim.Engine
+	stats   []*sim.KernelStats
+}
+
+// record installs a fresh KernelStats probe on eng and keeps both.
+func (kl *kernelLog) record(eng *sim.Engine) {
+	if kl == nil {
+		return
+	}
+	ks := sim.NewKernelStats()
+	eng.SetProbe(ks)
+	kl.engines = append(kl.engines, eng)
+	kl.stats = append(kl.stats, ks)
+}
+
+// machine builds a machine from cfg, recording its kernel.
+func (kl *kernelLog) machine(cfg charmgo.MachineConfig) *charmgo.Machine {
+	m := charmgo.NewMachine(cfg)
+	if kl != nil {
+		kl.record(m.Eng().(*sim.Engine))
+	}
+	return m
 }
 
 // closeMachine tears a full runtime stack down after a measurement,
@@ -42,8 +72,10 @@ func closeMachine(m *charmgo.Machine) {
 // core 0 of two nodes, written directly against the uGNI API: SMSG below
 // the cap, a direct pre-registered RDMA PUT above it (the benchmark reuses
 // its buffers, so no registration is on the critical path).
-func PureUGNIOneWay(size int) sim.Time {
-	eng, net, g := newStack(2)
+func PureUGNIOneWay(size int) sim.Time { return pureUGNIOneWay(size, nil) }
+
+func pureUGNIOneWay(size int, kl *kernelLog) sim.Time {
+	eng, net, g := newStack(2, kl)
 	defer net.Close()
 	pe0, pe1 := 0, net.P.CoresPerNode
 	p := net.P
@@ -103,7 +135,7 @@ func PureUGNIOneWay(size int) sim.Time {
 // FigureFourPoint measures a single one-way data movement with the given
 // unit and direction (Figure 4: FMA/BTE x Put/Get).
 func FigureFourPoint(size int, unit gemini.Unit, get bool) sim.Time {
-	_, net, _ := newStack(2)
+	_, net, _ := newStack(2, nil)
 	defer net.Close()
 	if get {
 		_, arrive := net.Get(0, 1, size, unit, 0)
@@ -144,11 +176,15 @@ func (h *mpiHost) CPU(rank int) *sim.PEResource { return &h.cpus[rank] }
 // otherwise every transfer uses a fresh buffer (uDREG misses — the paper's
 // Figure 9(a) distinction). Intra selects node-local ranks.
 func PureMPIOneWay(size int, sameBuf, intra bool) sim.Time {
+	return pureMPIOneWay(size, sameBuf, intra, nil)
+}
+
+func pureMPIOneWay(size int, sameBuf, intra bool, kl *kernelLog) sim.Time {
 	nodes := 2
 	if intra {
 		nodes = 1
 	}
-	eng, net, g := newStack(nodes)
+	eng, net, g := newStack(nodes, kl)
 	h := newMPIHost(eng, net.NumPEs())
 	c := mpi.New(g, h, mpi.DefaultConfig())
 	r0, r1 := 0, net.P.CoresPerNode
@@ -205,13 +241,15 @@ type CharmPingPong struct {
 	Params *gemini.Params
 	// Faults injects a deterministic fault schedule (nil runs clean).
 	Faults *fault.Schedule
+
+	kernels *kernelLog // records the machine's kernel
 }
 
 // OneWay runs the ping-pong and returns the steady-state one-way latency,
 // after a short warmup (the paper's benchmark reuses buffers; the memory
 // pool makes reuse automatic here).
 func (b CharmPingPong) OneWay() sim.Time {
-	m := charmgo.NewMachine(charmgo.MachineConfig{
+	m := b.kernels.machine(charmgo.MachineConfig{
 		Nodes: 2, Layer: b.Layer, UGNI: b.UGNI,
 		Params: b.Params, Faults: b.Faults,
 	})

@@ -28,9 +28,10 @@ const (
 func (ev *Event) Time() Time { return ev.at }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancellation is lazy: the heap slot
-// stays until popped or until enough cancellations accumulate to trigger
-// compaction (cancelled > live/2), so a cancel storm cannot leak memory.
+// already-cancelled event is a no-op. Cancellation is lazy: the queue
+// entry stays until popped or until enough cancellations accumulate to
+// trigger compaction (cancelled > live/2), so a cancel storm cannot leak
+// memory.
 func (ev *Event) Cancel() {
 	if ev.state != evPending {
 		return
@@ -40,6 +41,7 @@ func (ev *Event) Cancel() {
 	ev.afn = nil
 	ev.arg = nil
 	e := ev.eng
+	e.q.cancel(ev)
 	e.live--
 	e.cancelled++
 	if e.cancelled > e.live/2 {
@@ -47,8 +49,8 @@ func (ev *Event) Cancel() {
 	}
 }
 
-// entry is one heap slot: the ordering keys are inlined so comparisons
-// never chase the record pointer.
+// entry is one queue slot: the ordering keys are inlined so ordering
+// never chases the record pointer.
 type entry struct {
 	at  Time
 	seq uint64
@@ -56,23 +58,26 @@ type entry struct {
 }
 
 // Engine is a deterministic discrete-event scheduler: a virtual clock and
-// a four-ary min-heap of entries ordered by (time, sequence). Events
-// scheduled for the same instant fire in scheduling order, which makes
-// every simulation reproducible regardless of map iteration or goroutine
-// scheduling (everything runs on the caller's goroutine).
+// a monotone radix queue of entries ordered by (time, sequence) (see
+// queue.go). Events scheduled for the same instant fire in scheduling
+// order, which makes every simulation reproducible regardless of map
+// iteration or goroutine scheduling (everything runs on the caller's
+// goroutine).
 //
-// The heap holds value entries (24 bytes) over pooled Event records, so
-// steady-state scheduling allocates nothing and sift operations stay in
-// cache; the four-ary layout halves tree depth versus a binary heap,
-// which favors the pop-heavy DES workload.
+// The queue holds value entries (24 bytes) over pooled Event records in
+// pooled chunks, so steady-state scheduling allocates nothing. A
+// zero-delay event appends to the front lane; any other moves between
+// time buckets a few times before it fires, with no comparisons against
+// the rest of the population. A queue of at most two events keeps them
+// in a sorted pair instead.
 type Engine struct {
 	now       Time
 	lastAt    Time // timestamp of the most recently fired event (RunUntil moves now past it)
-	heap      []entry
+	q         queue
 	seq       uint64
 	fired     uint64
 	live      int // pending (non-cancelled) events; Pending() is O(1)
-	cancelled int // cancelled events still occupying heap slots
+	cancelled int // cancelled events still occupying queue entries
 	free      *Event
 	probe     Probe
 }
@@ -98,6 +103,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled, uncancelled events.
 func (e *Engine) Pending() int { return e.live }
+
+// QueueStats reports the event queue's work counters.
+func (e *Engine) QueueStats() QueueStats { return e.q.stats }
 
 // Schedule runs fn after delay units of virtual time. A negative delay is
 // treated as zero. Events scheduled for the same instant fire in the order
@@ -148,7 +156,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 // AtNode is At with a routing hint: the callback concerns the given
 // simulated node. The flat engine has a single event population, so the
 // hint is ignored; a ShardedEngine uses it to book the event into the
-// owning shard's heap.
+// owning shard's queue.
 //
 //simlint:hotpath
 func (e *Engine) AtNode(node int, t Time, fn func()) *Event { return e.At(t, fn) }
@@ -161,7 +169,7 @@ func (e *Engine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
 }
 
 // acquire pops a pooled record (or allocates the pool's next one), books it
-// at t, and pushes its heap entry. The caller sets exactly one of fn/afn.
+// at t, and pushes its queue entry. The caller sets exactly one of fn/afn.
 func (e *Engine) acquire(t Time) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -176,7 +184,7 @@ func (e *Engine) acquire(t Time) *Event {
 	}
 	ev.at = t
 	ev.state = evPending
-	e.push(entry{at: t, seq: e.nextSeq(), ev: ev})
+	e.q.push(entry{at: t, seq: e.nextSeq(), ev: ev})
 	e.live++
 	return ev
 }
@@ -191,19 +199,26 @@ func (e *Engine) nextSeq() uint64 {
 }
 
 // peek reports the ordering key of the next live event without firing it,
-// reclaiming any cancelled records sitting on top of the heap. ok is false
-// when no live events remain.
+// reclaiming any cancelled records at the front. ok is false when no live
+// events remain. It never moves the queue's front time: callers (the
+// lockstep ShardedEngine) may still schedule before the key it reports.
 func (e *Engine) peek() (at Time, seq uint64, ok bool) {
-	for len(e.heap) > 0 {
-		top := &e.heap[0]
-		if top.ev.state != evCancelled {
-			return top.at, top.seq, true
+	q := &e.q
+	for f := q.front(); f != nil; f = q.front() {
+		if f.ev.state != evCancelled {
+			return f.at, f.seq, true
 		}
-		en := e.popTop()
-		e.cancelled--
-		e.release(en.ev)
+		e.drop()
 	}
-	return 0, 0, false
+	en, ok := q.bucketMin()
+	return en.at, en.seq, ok
+}
+
+// drop pops the cancelled entry at the front and reclaims its record.
+func (e *Engine) drop() {
+	en, _ := e.q.pop()
+	e.cancelled--
+	e.release(en.ev)
 }
 
 // release returns a record to the pool.
@@ -218,8 +233,15 @@ func (e *Engine) release(ev *Event) {
 
 // Step fires the single next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		en := e.popTop()
+	for {
+		en, ok := e.q.pop()
+		if !ok {
+			// Refilling past cancelled entries may have moved the front
+			// time beyond the clock. The queue is empty now, so the clock
+			// is a valid front time again.
+			e.q.last = e.now
+			return false
+		}
 		ev := en.ev
 		if ev.state == evCancelled {
 			e.cancelled--
@@ -245,7 +267,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run fires events until none remain and returns the number fired.
@@ -259,17 +280,26 @@ func (e *Engine) Run() uint64 {
 // RunUntil fires events with timestamps <= deadline, then advances the clock
 // to the deadline (if the clock has not already passed it). It returns the
 // number of events fired.
+//
+// The front time only moves to a bucket minimum at or before the deadline,
+// which the clock reaches before RunUntil returns, so callers may schedule
+// at any time from the returned clock on.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.fired
-	for len(e.heap) > 0 {
-		top := &e.heap[0]
-		if top.ev.state == evCancelled {
-			en := e.popTop()
-			e.cancelled--
-			e.release(en.ev)
+	q := &e.q
+	for {
+		f := q.front()
+		if f == nil {
+			if !q.refill(deadline) {
+				break
+			}
 			continue
 		}
-		if top.at > deadline {
+		if f.ev.state == evCancelled {
+			e.drop()
+			continue
+		}
+		if f.at > deadline {
 			break
 		}
 		e.Step()
@@ -282,87 +312,3 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 
 // RunFor is RunUntil(Now()+d).
 func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.now + d) }
-
-// compact evicts cancelled entries and re-heapifies. Rebuilding with
-// Floyd's algorithm is O(n) and the (time, sequence) total order fully
-// determines pop order, so determinism is unaffected.
-func (e *Engine) compact() {
-	h := e.heap
-	w := 0
-	for _, en := range h {
-		if en.ev.state == evCancelled {
-			e.release(en.ev)
-			continue
-		}
-		h[w] = en
-		w++
-	}
-	for i := w; i < len(h); i++ {
-		h[i] = entry{}
-	}
-	e.heap = h[:w]
-	e.cancelled = 0
-	for i := (w - 2) >> 2; i >= 0; i-- {
-		e.siftDown(e.heap[i], i)
-	}
-}
-
-// push appends en and sifts it up, holding en aside and sliding parents
-// down so en is written once at its final slot.
-func (e *Engine) push(en entry) {
-	e.heap = append(e.heap, entry{})
-	h := e.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h[p].at < en.at || (h[p].at == en.at && h[p].seq < en.seq) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = en
-}
-
-// popTop removes and returns the minimum entry.
-func (e *Engine) popTop() entry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = entry{}
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(last, 0)
-	}
-	return top
-}
-
-// siftDown places en into the heap starting at slot i, sliding smaller
-// children up past it.
-func (e *Engine) siftDown(en entry, i int) {
-	h := e.heap
-	n := len(h)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-				m = j
-			}
-		}
-		if en.at < h[m].at || (en.at == h[m].at && en.seq < h[m].seq) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = en
-}

@@ -18,6 +18,102 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineQueue measures the event queue under two measured
+// population shapes:
+//
+//   - tiny: the full-axis Fig 9a ping-pong, 100 fresh engines of 277
+//     events each with at most 2 pending. Engine construction is part of
+//     the cost.
+//   - namd: the Fig 13 DHFR/3840 population, about 26K pending, a fifth
+//     of them scheduled at zero delay (the dispatch kicks) and the rest
+//     log-uniformly over 2^9 to 2^20 ns. It starts warmed up, so steady
+//     state allocates nothing.
+func BenchmarkEngineQueue(b *testing.B) {
+	b.Run("tiny", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for range 100 {
+				runPingEngine()
+			}
+		}
+	})
+	b.Run("namd", func(b *testing.B) {
+		l := newNamdLoad()
+		b.ReportAllocs()
+		for b.Loop() {
+			l.e.Step()
+		}
+	})
+}
+
+// pingLoad is two alternating event chains on one engine.
+type pingLoad struct {
+	e    *Engine
+	left int
+	i    uint64
+}
+
+func runPingEngine() {
+	l := &pingLoad{e: NewEngine(), left: 275}
+	l.e.ScheduleArg(0, pingFire, l)
+	l.e.ScheduleArg(300, pingFire, l)
+	l.e.Run()
+}
+
+func pingFire(a any) {
+	l := a.(*pingLoad)
+	if l.left == 0 {
+		return
+	}
+	l.left--
+	l.i++
+	l.e.ScheduleArg(Time(500+Mix(l.i)%1000), pingFire, l)
+}
+
+// namdLoad keeps a fixed population pending: every fired event schedules
+// one successor.
+type namdLoad struct {
+	e *Engine
+	i uint64
+}
+
+func newNamdLoad() *namdLoad {
+	l := &namdLoad{e: NewEngine()}
+	for range 26000 {
+		l.schedule()
+	}
+	for range 200000 {
+		l.e.Step()
+	}
+	return l
+}
+
+func (l *namdLoad) schedule() {
+	h := Mix(l.i)
+	l.i++
+	var d Time
+	if h%5 != 0 {
+		k := 9 + (h>>8)%11
+		d = Time(1)<<k + Time(h>>20)%(Time(1)<<k)
+	}
+	l.e.ScheduleArg(d, namdFire, l)
+}
+
+func namdFire(a any) { a.(*namdLoad).schedule() }
+
+// TestEngineQueueNamdAllocFree pins the namd benchmark's steady state: a
+// warmed-up queue of about 26K pending events fires and reschedules
+// without allocating.
+func TestEngineQueueNamdAllocFree(t *testing.T) {
+	l := newNamdLoad()
+	if a := testing.AllocsPerRun(50000, func() { l.e.Step() }); a != 0 {
+		t.Fatalf("namd-shaped step allocates %v per op, want 0", a)
+	}
+	if n := l.e.Pending(); n != 26000 {
+		t.Fatalf("namd load holds %d pending events, want 26000", n)
+	}
+}
+
 // BenchmarkGapResourceAcquire measures gap-filling bookings under three
 // interval mixes:
 //

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // ShardedEngine partitions one simulation's event population across N
-// shards, each a pooled-heap Engine with its own sequence counter owning a
+// shards, each a pooled-event Engine with its own sequence counter owning a
 // group of simulated nodes. Under RunParallel shards advance inside
 // conservative windows bounded by the kernel lookahead L (for the gemini
 // model, InjectionLatency + minCrossShardHops × HopLatency). Each window,
@@ -185,7 +185,7 @@ func (se *ShardedEngine) AtArg(t Time, fn func(any), arg any) *Event {
 	return se.route(se.cur).AtArg(se.check(t), fn, arg)
 }
 
-// AtNode books fn at t into the heap of the shard owning node.
+// AtNode books fn at t into the queue of the shard owning node.
 //
 //simlint:hotpath
 func (se *ShardedEngine) AtNode(node int, t Time, fn func()) *Event {
@@ -217,9 +217,9 @@ func (se *ShardedEngine) route(shard int) *Engine {
 	return se.shards[shard]
 }
 
-// pickMin scans shard heaps for the globally minimal (time, sequence,
-// shard) key; the shard index breaks ties between the independent
-// per-shard counters.
+// pickMin peeks at every shard's queue for the globally minimal (time,
+// sequence, shard) key; the shard index breaks ties between the
+// independent per-shard counters.
 func (se *ShardedEngine) pickMin() (shard int, at Time, ok bool) {
 	shard = -1
 	var bs uint64
@@ -325,7 +325,7 @@ type crossEvent struct {
 }
 
 // Shard is a worker's handle onto one shard of a parallel-window kernel:
-// local scheduling books straight into the shard's heap; cross-shard
+// local scheduling books straight into the shard's queue; cross-shard
 // sends buffer in single-writer outboxes merged at the window barrier.
 type Shard struct {
 	se   *ShardedEngine //simlint:shared -- coordinator backref: Send reads immutable routing tables through it; worker ownership stops here
@@ -343,7 +343,7 @@ func (s *Shard) ID() int { return s.id }
 func (s *Shard) Now() Time { return s.eng.Now() }
 
 // At books a shard-local event. Safe inside a window: only this shard's
-// worker touches this heap.
+// worker touches this queue.
 //
 //simlint:hotpath
 func (s *Shard) At(t Time, fn func()) *Event { return s.eng.At(t, fn) }
@@ -372,7 +372,7 @@ func (s *Shard) Send(node int, t Time, fn func(any), arg any) {
 	if !s.se.Deferring() {
 		// No window active (lockstep execution, setup, or a barrier
 		// callback): the caller's goroutine is the only one running, so
-		// book straight into the owner's heap.
+		// book straight into the owner's queue.
 		s.se.shards[dst].AtArg(t, fn, arg)
 		return
 	}
@@ -438,7 +438,7 @@ func (se *ShardedEngine) RunParallel() uint64 {
 
 // mergeOutboxes drains every (source, destination) outbox at a barrier.
 // The deterministic merge rule: destinations take sources in ascending
-// shard ID, events in emission order. The heap already orders by (time,
+// shard ID, events in emission order. The queue already orders by (time,
 // sequence) and sequence order is insertion order, so ties at equal
 // timestamps resolve by (source shard, emission index) — independent of
 // how the workers were scheduled onto OS threads.
