@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet fmt-check lint lint-audit lint-bench check fault-matrix shard-matrix resilience-matrix bench-smoke fuzz-smoke profile profile-shard alloc-gate
+.PHONY: build test test-race vet fmt-check lint lint-audit lint-bench check fault-matrix resilience-matrix bench-smoke fuzz-smoke profile alloc-gate
 
 build:
 	$(GO) build ./...
@@ -23,16 +23,14 @@ vet:
 fmt-check:
 	test -z "$$(gofmt -l .)"
 
-# simlint: all seventeen analyzers (internal/analysis/simlint) — the five
+# simlint: all fourteen analyzers (internal/analysis/simlint) — the five
 # determinism/kernel-discipline rules, the CFG/dataflow allocation rules
-# (hotpathalloc, closechain), the points-to shard-ownership rules
-# (shardescape, atomicshared, singlewriter, windowsend), and the
-# typestate rules: pool ownership (poolleak, useafterrelease) and the
-# protocols (creditbalance, flightlifecycle, eventtotality,
+# (hotpathalloc, closechain), the atomic-discipline rule (atomicshared),
+# and the typestate rules: pool ownership (poolleak, useafterrelease)
+# and the protocols (creditbalance, flightlifecycle, eventtotality,
 # boundedretry). Zero findings and zero unexplained or unused
 # suppressions required; see DESIGN.md §6 "Determinism rules" /
-# "Ownership rules" / "Shard-ownership rules" / "Protocol typestate
-# rules".
+# "Ownership rules" / "Protocol typestate rules".
 # `go run ./cmd/simlint -rules` prints the full rule book.
 lint:
 	$(GO) run ./cmd/simlint ./...
@@ -42,9 +40,10 @@ lint:
 lint-audit:
 	$(GO) run ./cmd/simlint -audit ./...
 
-# Time each analyzer over the module and fail if the checked-in budget
-# (cmd/simlint/budget.json, ~4x a warm local run) is exceeded — the gate
-# against an analyzer or the points-to solve going quadratic.
+# Time the shared points-to solve and then each analyzer over the module,
+# one line each, and fail if the checked-in budget (cmd/simlint/budget.json,
+# ~4x a warm local run) is exceeded — the gate against an analyzer or the
+# points-to solve going quadratic.
 lint-bench:
 	$(GO) run ./cmd/simlint -bench ./...
 
@@ -56,18 +55,6 @@ check: build vet fmt-check lint test test-race
 # property test, and the faulted pool-drain gate.
 fault-matrix:
 	$(GO) test -race -count=1 -run 'TestFault' ./internal/bench/
-
-# Shard matrix (DESIGN.md §2.3–2.4) under the race detector: the
-# parallel-window kernel demo. The machine stack runs only on the flat
-# engine; this covers the 108K- and 1M-rank halo workloads against their
-# lockstep oracles, the sharded kernel's unit tests (lockstep probe
-# stream, parallel windows shard-count invariant, lookahead tripwire),
-# and the network-level shard-partition properties (route-cache fill
-# hammer, 50-seed per-link occupancy parity, cross-traffic conservation).
-shard-matrix:
-	$(GO) test -race -count=1 -run 'TestShardScale' ./internal/bench/
-	$(GO) test -race -count=1 -run 'TestSharded|TestParallelWindows|TestCrossShard' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestLinkOccupancyParity|TestLinkTrafficConservation|TestRouteFillRace' ./internal/gemini/
 
 # Node-failure recovery matrix (DESIGN.md §7) under the race detector:
 # the failover scenario runs (single kill on both layers, kill during a
@@ -93,8 +80,7 @@ bench-smoke:
 
 # Ten seconds each of coverage-guided fuzzing of GapResource against its
 # linear reference under a forward-only clock, and of the event kernel's
-# firing order (flat and lockstep sharded) against a sort-by-key
-# reference. `go test` runs only the checked-in corpora
+# firing order against a sort-by-key reference. `go test` runs only the checked-in corpora
 # (internal/sim/testdata/fuzz/<target>); a failing input found here is
 # written there and becomes a regression case. -fuzz takes one target per
 # invocation.
@@ -109,23 +95,6 @@ profile:
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 100x \
 		-cpuprofile /tmp/charmgo_cpu.prof -memprofile /tmp/charmgo_mem.prof .
 	@echo "profiles written: /tmp/charmgo_cpu.prof /tmp/charmgo_mem.prof"
-
-# CPU and allocation profiles of the parallel-window shard-scaling
-# benchmark (108K-rank halo workload, worker-per-shard), written to /tmp.
-# How to read them:
-#   go tool pprof -top /tmp/charmgo_shard_cpu.prof          # hot functions
-#   go tool pprof -peek applyReservations /tmp/charmgo_shard_cpu.prof
-#   go tool pprof -sample_index=alloc_objects -top /tmp/charmgo_shard_mem.prof
-# Barrier cost shows up under ShardedEngine.RunParallel /
-# mergeOutboxes / Network.applyReservations; per-shard event work under
-# Engine.RunUntil. A healthy profile has the barrier functions in the
-# low single-digit percent — growth there means cross-shard traffic is
-# defeating the shard-local booking fast path.
-profile-shard:
-	$(GO) test -run - -bench BenchmarkShardScale -benchtime 20x \
-		-cpuprofile /tmp/charmgo_shard_cpu.prof -memprofile /tmp/charmgo_shard_mem.prof \
-		./internal/bench/
-	@echo "profiles written: /tmp/charmgo_shard_cpu.prof /tmp/charmgo_shard_mem.prof"
 
 # CI allocation gate: fail if one full-axis fig9a regeneration allocates
 # more than 10% over the checked-in threshold. Wall-clock comparisons are

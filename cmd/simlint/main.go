@@ -25,8 +25,9 @@
 // annotations, the annotation grammar — the complete rule book in one
 // command. The output shape is golden-pinned like -json.
 //
-// -bench skips the findings report and instead times each analyzer over
-// the loaded packages, checking load and analysis wall-clock against the
+// -bench skips the findings report and instead times the shared points-to
+// solve and then each analyzer over the loaded packages, one line each,
+// checking load and analysis wall-clock against the
 // checked-in budget (cmd/simlint/budget.json, overridable with -budget).
 // It exits nonzero when a budget line is exceeded, so `make lint-bench`
 // gates analyzer performance regressions.

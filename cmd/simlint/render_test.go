@@ -22,14 +22,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden JSON schema fi
 func TestDiagsJSONGolden(t *testing.T) {
 	diags := []framework.Diagnostic{
 		{
-			Analyzer: "shardescape",
-			Pos:      token.Position{Filename: "internal/sim/shard.go", Line: 42, Column: 7},
-			Message:  "shard worker writes non-owned state (coordinator horizon)",
+			Analyzer: "atomicshared",
+			Pos:      token.Position{Filename: "internal/mem/freelist.go", Line: 80, Column: 2},
+			Message:  "plain access to charmgo/internal/mem.live, which is accessed through sync/atomic elsewhere (internal/mem/freelist.go:60:18): one discipline only",
 		},
 		{
-			Analyzer: "windowsend",
-			Pos:      token.Position{Filename: "internal/sim/shard.go", Line: 99, Column: 3},
-			Message:  "shard worker schedules through the coordinator (ShardedEngine.At)",
+			Analyzer: "poolleak",
+			Pos:      token.Position{Filename: "internal/machine/ugnimachine/layer.go", Line: 797, Column: 3},
+			Message:  "pooled value ack may leak: owned here but neither released (Put) nor transferred on some path to return",
 		},
 	}
 	got, err := renderDiagsJSON(diags)
@@ -53,7 +53,7 @@ func TestAuditJSONGolden(t *testing.T) {
 		{
 			Verb:     "allow",
 			Analyzer: "hotpathalloc",
-			Pos:      token.Position{Filename: "internal/sim/engine.go", Line: 174, Column: 3},
+			Pos:      token.Position{Filename: "internal/sim/engine.go", Line: 165, Column: 3},
 			Reason:   "event pool miss path: allocates only while the free list is empty",
 		},
 	}

@@ -96,27 +96,29 @@ func NewPass(a *Analyzer, pkg *Package, prog *Program, diags *[]Diagnostic) *Pas
 // applied (see suppress.go): explained `//simlint:allow` lines remove their
 // diagnostic, unexplained or unused ones surface as diagnostics themselves.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := run(pkgs, analyzers)
+	diags, _, err := run(NewProgram(pkgs), analyzers)
 	return diags, err
 }
 
 // AnalyzerTiming is one analyzer's wall-clock cost across every analyzed
-// package in a RunTimed call. Shared lazily-built state (the points-to
-// solution, the shard context) is attributed to the first analyzer that
-// forces it, so the first shard-family entry carries the solve.
+// package in a RunTimed call. Shared lazily-built state that prog does not
+// already hold (the points-to solution, the typestate summaries) is
+// attributed to the first analyzer that forces it.
 type AnalyzerTiming struct {
 	Analyzer string
 	Elapsed  time.Duration
 }
 
-// RunTimed is Run plus a per-analyzer timing breakdown, in the order the
-// analyzers were given. It backs `simlint -bench`.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
-	return run(pkgs, analyzers)
+// RunTimed is Run over prog's packages plus a per-analyzer timing
+// breakdown, in the order the analyzers were given. It backs
+// `simlint -bench`, which builds prog itself so it can time the shared
+// points-to solve on its own line before any analyzer runs.
+func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
+	return run(prog, analyzers)
 }
 
-func run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
-	prog := NewProgram(pkgs)
+func run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming, error) {
+	pkgs := prog.Pkgs
 	elapsed := make(map[string]time.Duration, len(analyzers))
 	var all []Diagnostic
 	for _, pkg := range pkgs {

@@ -14,13 +14,13 @@ import (
 // points-to (alias/escape) analysis over `go/ast`, seeded per function and
 // propagated along the same whole-program view the call graph uses.
 //
-// Precision model (the "soundness contract" the shardsafe analyzers are
-// phrased against; see DESIGN.md §6 "Shard-ownership rules"):
+// Precision model (the "soundness contract" its clients, such as the
+// typestate engine's record identity, are phrased against):
 //
 //   - Allocation sites are abstract objects: `&T{...}`, composite
 //     literals, `new`, `make`, and the storage of address-taken or
 //     struct-valued variables. One site stands for every instance it
-//     creates (all shards built by one constructor loop share one object).
+//     creates (all records built by one constructor loop share one object).
 //   - Named struct fields are distinguished (field-sensitive); slice,
 //     array, map, and channel payloads collapse to one element node per
 //     object; map keys get their own node.
@@ -39,7 +39,7 @@ import (
 //   - Flow-insensitivity means assignments accumulate: a pointer that
 //     ever pointed at an object is assumed to still alias it. This only
 //     over-approximates aliasing, which is the conservative direction for
-//     every shardsafe rule.
+//     an alias-based rule.
 //
 // The solver is the textbook worklist over inclusion constraints: copy
 // edges between nodes, plus complex (load/store/field-address) constraints
@@ -1565,8 +1565,8 @@ func (pt *PointsTo) PointsToUnknown(obj types.Object) bool {
 // Reachable computes the objects transitively reachable from the given
 // variables' points-to sets by following field and element cells. The
 // optional cut predicate prunes traversal: when cut(obj, field) reports
-// true the cell is not followed (the shardsafe analyzers cut at
-// `//simlint:shared` fields and coordinator backrefs). Field and element
+// true the cell is not followed (a client may cut at deliberately shared
+// fields or backrefs). Field and element
 // objects themselves are included. The result is keyed by object id.
 func (pt *PointsTo) Reachable(roots []types.Object, cut func(o *PObj, field string) bool) map[int]*PObj {
 	out := make(map[int]*PObj)
@@ -1610,72 +1610,6 @@ func (pt *PointsTo) Reachable(roots []types.Object, cut func(o *PObj, field stri
 		}
 	}
 	return out
-}
-
-// Cells returns the labels of an object's materialized cells in sorted
-// order: named fields, "$elem"/"$key" for container payloads, and "" for
-// the direct-value cell of pointer-like storage. Together with CellObj
-// and CellMembers this exposes the solved heap shape so analyzers can
-// run their own traversals with domain-specific admissibility policies
-// (the shardsafe owned-region walk filters members by static type).
-func (pt *PointsTo) Cells(o *PObj) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, c := range pt.derived[o.ID] {
-		if !seen[c.field] {
-			seen[c.field] = true
-			out = append(out, c.field)
-		}
-	}
-	if _, ok := pt.valOf[o.ID]; ok {
-		out = append(out, "")
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CellObj returns the cell itself as an object (ObjField/ObjElem) when
-// the solver materialized one; nil for the direct-value cell.
-func (pt *PointsTo) CellObj(o *PObj, field string) *PObj {
-	if field == "" {
-		return nil
-	}
-	for _, c := range pt.derived[o.ID] {
-		if c.field == field {
-			if oid := pt.nodes[c.node].obj; oid >= 0 {
-				return pt.objs[oid]
-			}
-		}
-	}
-	return nil
-}
-
-// CellMembers returns the points-to set of one cell of an object.
-func (pt *PointsTo) CellMembers(o *PObj, field string) []*PObj {
-	if field == "" {
-		if v, ok := pt.valOf[o.ID]; ok {
-			return pt.nodeObjs(v)
-		}
-		return nil
-	}
-	var out []*PObj
-	for _, c := range pt.derived[o.ID] {
-		if c.field == field {
-			out = append(out, pt.nodeObjs(c.node)...)
-		}
-	}
-	return out
-}
-
-// ExprPointsTo resolves an expression in one analyzed package to the
-// objects its value may point to. It supports the lvalue/rvalue shapes
-// analyzers inspect (identifiers, field selectors, index, star, calls);
-// unsupported shapes return nil.
-func (pt *PointsTo) ExprPointsTo(pkg *Package, e ast.Expr) []*PObj {
-	g := &genCtx{pt: pt, pkg: pkg}
-	n := g.value(e)
-	pt.resolveQuery(n)
-	return pt.nodeObjs(n)
 }
 
 // LValueTargets resolves an assignment target to the (object, cell) pairs

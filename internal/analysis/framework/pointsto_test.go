@@ -235,7 +235,7 @@ func TestPTACoordinatorCut(t *testing.T) {
 	if !coordSeen {
 		t.Fatalf("owner backref lost: Coord not reachable from Eng (%s)", labels(pt.VarPointsTo(c)))
 	}
-	// With the cut (the shardescape pattern), it is not.
+	// With the cut, it is not.
 	cut := pt.Reachable([]types.Object{e}, func(o *PObj, field string) bool {
 		return field == "owner"
 	})

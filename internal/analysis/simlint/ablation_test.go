@@ -17,14 +17,12 @@ import (
 // and every mutant must fail `make lint` (exit 1) with a finding from
 // the expected analyzer.
 //
-// The four shardsafe rows seed the races the parallel-window kernel
-// design forbids: a worker-loop store to the coordinator's window
-// floor, a dropped atomic on the live-descriptor counter, a
-// second outbox producer, and a direct past-window send through the
-// coordinator. The next three rows seed ownership defects on the
-// shipped machine layer: deleting a single descriptor Put (PR 4's manual
-// ablation, automated), reading a descriptor after its Put, and deleting
-// a slab release from Layer.Close. The last three rows seed the protocol
+// The first row drops one atomic on the live-descriptor counter, the
+// mixed-discipline defect atomicshared exists for. The next three rows
+// seed ownership defects on the shipped machine layer: deleting a single
+// descriptor Put (PR 4's manual ablation, automated), reading a
+// descriptor after its Put, and deleting a slab release from
+// Layer.Close. The last three rows seed the protocol
 // defects the protoflow typestate family proves absent: severing the
 // credit drain from its EvCreditReturn dispatch, dropping the
 // credit-flight Put so the completion callback leaves the record zeroed
@@ -46,15 +44,6 @@ type ablationRow struct {
 func ablationRows() []ablationRow {
 	return []ablationRow{
 		{
-			name: "cross-shard alias from the worker loop",
-			file: "internal/sim/shard.go",
-			edits: []edit{{
-				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "n := sh.eng.RunUntil(horizon - 1)\n\t\t\t\tsh.se.windowFloor = horizon",
-			}},
-			analyzer: "shardescape",
-		},
-		{
 			name: "dropped atomic on the live-descriptor counter",
 			file: "internal/mem/freelist.go",
 			edits: []edit{
@@ -64,23 +53,6 @@ func ablationRows() []ablationRow {
 				{old: "live.Load()", new: "live"},
 			},
 			analyzer: "atomicshared",
-		},
-		{
-			name: "second outbox producer",
-			file: "internal/sim/shard.go",
-			appendSrc: "\n//simlint:outbox-transfer -- mutant: duplicate producer racing Send\n" +
-				"func (s *Shard) SendDup(dst int, at Time) {\n" +
-				"\ts.out[dst] = append(s.out[dst], crossEvent{})\n}\n",
-			analyzer: "singlewriter",
-		},
-		{
-			name: "direct past-window send through the coordinator",
-			file: "internal/sim/shard.go",
-			edits: []edit{{
-				old: "n := sh.eng.RunUntil(horizon - 1)",
-				new: "sh.se.AtNode(0, horizon, func() {})\n\t\t\t\tn := sh.eng.RunUntil(horizon - 1)",
-			}},
-			analyzer: "windowsend",
 		},
 		{
 			name: "deleted descriptor Put (PR 4 ablation, automated)",

@@ -4,48 +4,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"charmgo/internal/analysis/framework"
 )
 
-// AtomicShared enforces the access discipline on deliberately shared
-// state — the cuts the shardescape ownership closure stops at:
-//
-//  1. Mixed discipline anywhere in simulation scope: a variable or field
-//     whose address feeds a sync/atomic call at one site must never be
-//     read or written plainly at another (the PR-that-introduced-mem.live
-//     regression class: one dropped atomic silently breaks the pair).
-//  2. Worker-side plain access to //simlint:shared fields: code in the
-//     shard-worker closure may touch an annotated shared field only
-//     through sync/atomic (or a sync/atomic-typed field, atomic by
-//     construction). Audited //simlint:outbox-transfer functions are
-//     exempt — their cross-shard reads are part of the reviewed verb.
+// AtomicShared enforces one access discipline per variable: a variable
+// or field whose address feeds a sync/atomic call at one site anywhere in
+// the module must never be read or written plainly at another, in
+// simulation scope (the regression class of the PR that introduced
+// mem.live: one dropped atomic silently breaks the pair). The check is
+// syntactic: it needs the module's atomic sites, not the points-to solve.
 var AtomicShared = &framework.Analyzer{
 	Name: "atomicshared",
-	Doc: "state shared across shard workers (//simlint:shared fields, atomically " +
-		"accessed vars) must be accessed through sync/atomic consistently",
-	Run: runAtomicShared,
+	Doc:  "a var or field accessed through sync/atomic anywhere must be accessed through sync/atomic everywhere",
+	Run:  runAtomicShared,
 }
 
 func runAtomicShared(pass *framework.Pass) error {
 	if !simulationScope(pass.PkgPath) {
 		return nil
 	}
-	c := shardContext(pass)
-	if len(c.atomicKeys) == 0 && len(c.sharedFields) == 0 {
+	keys := atomicKeys(pass.Prog)
+	if len(keys) == 0 {
 		return nil
-	}
-	pkg := c.passPkg(pass)
-	if pkg == nil {
-		return nil
-	}
-	// Worker goroutine literals are scanned on their own (worker-side);
-	// skip them while walking their enclosing declaration.
-	workerLit := make(map[*ast.FuncLit]bool)
-	for _, site := range c.workerLits {
-		if site.pkg.Types == pass.Pkg {
-			workerLit[site.lit] = true
-		}
 	}
 	for _, f := range pass.Files {
 		if isTestFile(pass, f) {
@@ -53,27 +35,98 @@ func runAtomicShared(pass *framework.Pass) error {
 		}
 		atomicArgs := atomicArgRanges(pass, f)
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				scanAtomicAccesses(pass, keys, fd.Body, atomicArgs)
 			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			fid := framework.FuncID(fn)
-			workside := c.workerFuncs[fid] && !c.transferFns[fid]
-			scanAtomicAccesses(pass, c, pkg, fd.Body, workside, atomicArgs, workerLit)
 		}
-	}
-	for _, site := range c.workerLits {
-		if site.pkg.Types != pass.Pkg {
-			continue
-		}
-		file := enclosingFile(pass, site.lit.Pos())
-		if file == nil {
-			continue
-		}
-		scanAtomicAccesses(pass, c, pkg, site.lit.Body, true, atomicArgRanges(pass, file), nil)
 	}
 	return nil
+}
+
+// posRange is a source interval, inclusive at both ends.
+type posRange struct{ lo, hi token.Pos }
+
+func (r posRange) contains(p token.Pos) bool { return p >= r.lo && p <= r.hi }
+
+// atomicKeys records (once per Run) the vars and fields whose address
+// feeds a sync/atomic call anywhere in the module ("pkg.name" or
+// "pkg.Type.field"), each with the positions of those calls.
+func atomicKeys(prog *framework.Program) map[string][]token.Position {
+	return prog.Memo("atomickeys", func() any {
+		keys := make(map[string][]token.Position)
+		for _, pkg := range prog.Pkgs {
+			for _, f := range pkg.Syntax {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || !isAtomicCall(pkg.TypesInfo, call) {
+						return true
+					}
+					for _, a := range call.Args {
+						un, ok := a.(*ast.UnaryExpr)
+						if !ok || un.Op != token.AND {
+							continue
+						}
+						if key := addressedKey(pkg.TypesInfo, un.X); key != "" {
+							keys[key] = append(keys[key], pkg.Fset.Position(a.Pos()))
+						}
+					}
+					return true
+				})
+			}
+		}
+		return keys
+	}).(map[string][]token.Position)
+}
+
+// isAtomicCall reports whether call invokes a sync/atomic function.
+func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
+}
+
+// addressedKey names the storage &x refers to: "pkg.name" for a
+// package-level var, "pkg.Type.field" for a struct field.
+func addressedKey(info *types.Info, x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		if v, ok := info.Uses[x].(*types.Var); ok && v.Pkg() != nil &&
+			!v.IsField() && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Path() + "." + v.Name()
+		}
+	case *ast.SelectorExpr:
+		return selectorFieldKey(info, x)
+	}
+	return ""
+}
+
+// selectorFieldKey resolves x.f to "pkg.Type.field" when f is a named
+// struct field, "" otherwise.
+func selectorFieldKey(info *types.Info, sel *ast.SelectorExpr) string {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return ""
+	}
+	return fieldKeyOfType(s.Recv(), sel.Sel.Name)
+}
+
+// fieldKeyOfType resolves "pkg.Type.field" for a named field of a (possibly
+// pointer-to) named struct type; "" for synthetic cells and unnamed types.
+func fieldKeyOfType(t types.Type, field string) string {
+	if t == nil || field == "" || strings.HasPrefix(field, "$") {
+		return ""
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field
 }
 
 // atomicArgRanges records the source ranges of `&x` arguments inside
@@ -82,15 +135,7 @@ func atomicArgRanges(pass *framework.Pass, f *ast.File) []posRange {
 	var out []posRange
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		if !ok || !isAtomicCall(pass.TypesInfo, call) {
 			return true
 		}
 		for _, a := range call.Args {
@@ -112,16 +157,16 @@ func inRanges(rs []posRange, p token.Pos) bool {
 	return false
 }
 
-func scanAtomicAccesses(pass *framework.Pass, c *shardCtx, pkg *framework.Package,
-	body *ast.BlockStmt, workside bool, atomicArgs []posRange, skipLits map[*ast.FuncLit]bool) {
+// scanAtomicAccesses reports every plain access in body to a key that is
+// accessed atomically elsewhere.
+func scanAtomicAccesses(pass *framework.Pass, keys map[string][]token.Position,
+	body *ast.BlockStmt, atomicArgs []posRange) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		var key string
 		var typ types.Type
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			return !skipLits[x]
 		case *ast.SelectorExpr:
-			key = c.selectorFieldKey(pkg, x)
+			key = selectorFieldKey(pass.TypesInfo, x)
 			if obj, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var); ok {
 				typ = obj.Type()
 			}
@@ -143,15 +188,10 @@ func scanAtomicAccesses(pass *framework.Pass, c *shardCtx, pkg *framework.Packag
 			// backref pointer only to reach the atomic cell.
 			return false
 		}
-		if sites, mixed := c.atomicKeys[key]; mixed {
+		if sites, mixed := keys[key]; mixed {
 			pass.Reportf(n.Pos(),
 				"plain access to %s, which is accessed through sync/atomic elsewhere (%s): one discipline only",
 				key, sites[0])
-			return false
-		}
-		if _, shared := c.sharedFields[key]; shared && workside {
-			pass.Reportf(n.Pos(),
-				"shard-worker code accesses //simlint:shared field %s without sync/atomic", key)
 			return false
 		}
 		return true
@@ -169,14 +209,4 @@ func atomicTyped(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
-}
-
-// enclosingFile finds the syntax file containing pos.
-func enclosingFile(pass *framework.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			return f
-		}
-	}
-	return nil
 }

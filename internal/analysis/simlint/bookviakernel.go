@@ -27,35 +27,6 @@ var kernelSurface = map[string]map[string][]string{
 		"ScheduleArg": schedulers,
 		"At":          schedulers,
 		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
-	},
-	// The Kernel interface and the sharded engine expose the same booking
-	// verbs; calls through either hit the same PR 1 boundary. Most callers
-	// hold a sim.Kernel, so the interface entry is the one doing the work.
-	"Kernel": {
-		"Schedule":    schedulers,
-		"ScheduleArg": schedulers,
-		"At":          schedulers,
-		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
-	},
-	"ShardedEngine": {
-		"Schedule":    schedulers,
-		"ScheduleArg": schedulers,
-		"At":          schedulers,
-		"AtArg":       schedulers,
-		"AtNode":      schedulers,
-		"AtNodeArg":   schedulers,
-	},
-	// Parallel-window shard handles: the kernel itself and the bench
-	// harness's shard-scale workloads (which are the parallel mode's
-	// direct consumers, like tests are for the flat engine).
-	"Shard": {
-		"At":    {"internal/sim", "internal/bench"},
-		"AtArg": {"internal/sim", "internal/bench"},
-		"Send":  {"internal/sim", "internal/bench"},
 	},
 	"GapResource": {
 		// Gemini link booking is the heart of the model: only the kernel

@@ -20,15 +20,14 @@ import (
 	"charmgo/internal/analysis/framework"
 )
 
-// Analyzers returns the full suite in stable order: the five determinism
-// analyzers from PR 2, the four ownership analyzers built on the
-// CFG/dataflow engine (framework/cfg.go, dataflow.go, callgraph.go), the
-// shardsafe family built on the interprocedural points-to analysis
-// (framework/pointsto.go) that proves the parallel-window kernel's
-// shard-ownership discipline, then the protoflow family built on the
-// interprocedural typestate engine (framework/typestate.go) that proves
-// the machine layers' resource protocols — credit conservation, flight
-// lifecycles, event-dispatch totality, bounded retry.
+// Analyzers returns the full suite of fourteen in stable order: the five
+// determinism analyzers from PR 2, the four ownership analyzers built on
+// the CFG/dataflow engine (framework/cfg.go, dataflow.go, callgraph.go),
+// atomicshared (one access discipline per atomically accessed var or
+// field), then the protoflow family built on the interprocedural
+// typestate engine (framework/typestate.go) that proves the machine
+// layers' resource protocols — credit conservation, flight lifecycles,
+// event-dispatch totality, bounded retry.
 func Analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		NoWallClock,
@@ -40,10 +39,7 @@ func Analyzers() []*framework.Analyzer {
 		UseAfterRelease,
 		HotPathAlloc,
 		CloseChain,
-		ShardEscape,
 		AtomicShared,
-		SingleWriter,
-		WindowSend,
 		CreditBalance,
 		FlightLifecycle,
 		EventTotality,

@@ -1,33 +1,19 @@
-// Package sim is the atomicshared fixture: the access discipline on
-// deliberately shared state. Rule 1 (anywhere in simulation scope): a
-// variable or field whose address feeds sync/atomic at one site must
-// never be accessed plainly at another. Rule 2 (worker-side): code in
-// the shard-worker closure touches //simlint:shared fields only through
-// sync/atomic or a sync/atomic-typed field.
+// Package sim is the atomicshared fixture: anywhere in simulation scope,
+// a variable or field whose address feeds sync/atomic at one site must
+// never be accessed plainly at another.
 package sim
 
 import "sync/atomic"
 
-// Time is virtual time.
-type Time int64
-
-// Coord carries the cross-window counters the shards share.
-type Coord struct {
-	fired uint64       //simlint:shared -- fixture: plain field, workers must use sync/atomic
-	gen   uint64       //simlint:shared -- fixture: atomics-everywhere twin
-	live  atomic.Int64 //simlint:shared -- fixture: atomic by construction
-}
-
-// Shard is one worker's handle.
-type Shard struct {
-	co   *Coord //simlint:shared -- fixture: coordinator backref
-	work chan Time
-	done chan uint64
+// Counters holds one field per discipline.
+type Counters struct {
+	fired uint64       // plain everywhere: one discipline, clean
+	gen   uint64       // atomic in tock, plain in reset: mixed
+	live  atomic.Int64 // atomic by construction, clean
 }
 
 // hits is accessed atomically in bump and plainly in plainBump: mixed
-// discipline, flagged wherever the plain access happens — even outside
-// the worker closure.
+// discipline, flagged at the plain access.
 var hits int64
 
 func bump() {
@@ -38,60 +24,35 @@ func plainBump() {
 	hits++ // want `plain access to charmgo/internal/sim.hits`
 }
 
-// tick is worker-reachable (Shard method) and touches the shared fired
-// counter plainly.
-func (s *Shard) tick() {
-	s.co.fired++ // want `accesses //simlint:shared field charmgo/internal/sim.Coord.fired without sync/atomic`
+// tick touches the plain-only counter plainly: clean.
+func (c *Counters) tick() {
+	c.fired++
 }
 
-// tock is the clean twin: the shared counter is only touched inside the
+// tock is the sanctioned access: the field is only touched inside the
 // sync/atomic argument.
-func (s *Shard) tock() {
-	atomic.AddUint64(&s.co.gen, 1)
+func (c *Counters) tock() {
+	atomic.AddUint64(&c.gen, 1)
 }
 
 // breathe uses the atomic-typed field: atomic by construction, clean.
-func (s *Shard) breathe() {
-	s.co.live.Add(1)
+func (c *Counters) breathe() {
+	c.live.Add(1)
 }
 
-// reset runs coordinator-side between windows: not in the worker
-// closure, so plain access to the shared fired field is allowed — rule 2
-// binds the workers, and fired never feeds sync/atomic, so rule 1 has no
-// mixed-discipline key for it.
-func (c *Coord) reset() {
+// reset writes gen plainly although tock updates it through sync/atomic.
+func (c *Counters) reset() {
 	c.fired = 0
+	c.gen = 0 // want `plain access to charmgo/internal/sim.Counters.gen`
 }
 
-// start spawns the annotated worker; its body goes through the audited
-// accessors only.
-//
-//simlint:shard-worker -- fixture: window worker
-func start(sh *Shard) {
-	work, done := sh.work, sh.done
-	//simlint:shard-worker -- fixture: worker loop
-	go func() {
-		for {
-			_, ok := <-work
-			if !ok {
-				return
-			}
-			sh.tick()
-			sh.tock()
-			sh.breathe()
-			done <- 1
-		}
-	}()
-}
-
-// newKernel materializes the objects so the worker closure has real
-// points-to targets.
-func newKernel() *Coord {
-	co := &Coord{}
-	sh := &Shard{co: co, work: make(chan Time), done: make(chan uint64)}
-	start(sh)
+func run() *Counters {
+	c := &Counters{}
+	c.tick()
+	c.tock()
+	c.breathe()
+	c.reset()
 	bump()
 	plainBump()
-	co.reset()
-	return co
+	return c
 }

@@ -1,7 +1,7 @@
-// Package sim is a nogoroutine fixture for the audited shard-worker
-// exception: inside internal/sim (and internal/bench), annotated functions
-// may own the work/done window-coordination pair, and annotated goroutines
-// must be exactly the window-worker loop.
+// Package sim is a nogoroutine fixture: internal/sim has no goroutine
+// exception. A worker loop written in the shape the removed window-worker
+// protocol sanctioned, and annotated as it once was, is rejected like any
+// other goroutine and channel use.
 package sim
 
 type shard struct {
@@ -11,103 +11,37 @@ type shard struct {
 
 func (s *shard) run(horizon int64) uint64 { return uint64(horizon) }
 
-// newShard is not annotated, so even the protocol channels are rejected.
-func newShard() *shard {
-	return &shard{
-		work: make(chan int64),  // want `channel creation in simulation code`
-		done: make(chan uint64), // want `channel creation in simulation code`
-	}
-}
-
-// startOK is the sanctioned construction site and the canonical worker
-// shape: a bare loop that receives two-value from work, returns when it is
-// closed, and reports on done. No diagnostics.
+// startWorker is the old annotated worker: the annotation no longer
+// exempts anything.
 //
-//simlint:shard-worker -- fixture: canonical window worker
-func startOK(s *shard) {
-	s.work = make(chan int64)
-	s.done = make(chan uint64)
+//simlint:shard-worker -- fixture: no longer an exemption
+func startWorker(s *shard) {
+	s.work = make(chan int64)  // want `channel creation in simulation code`
+	s.done = make(chan uint64) // want `channel creation in simulation code`
 	work, done := s.work, s.done
-	//simlint:shard-worker -- fixture: shape-verified loop
-	go func() {
-		for {
-			horizon, ok := <-work
-			if !ok {
-				return
-			}
-			done <- s.run(horizon)
-		}
-	}()
-}
-
-// coordinateOK is the coordinator half: an annotated function may send on
-// work and receive from done directly.
-//
-//simlint:shard-worker -- fixture: coordinator half
-func coordinateOK(s *shard) uint64 {
-	s.work <- 100
-	return <-s.done
-}
-
-// stopOK closes the work channel to terminate the worker.
-//
-//simlint:shard-worker -- fixture: termination signal
-func stopOK(s *shard) {
-	close(s.work)
-}
-
-// unannotated spawns without the annotation: goroutine and channel traffic
-// are all rejected — internal/sim has no blanket exception.
-func unannotated(s *shard) {
+	//simlint:shard-worker -- fixture: no longer an exemption
 	go func() { // want `goroutine in simulation code`
 		for {
-			horizon, ok := <-s.work // want `channel receive in simulation code`
+			horizon, ok := <-work // want `channel receive in simulation code`
 			if !ok {
 				return
 			}
-			s.done <- s.run(horizon) // want `channel send in simulation code`
+			done <- s.run(horizon) // want `channel send in simulation code`
 		}
 	}()
 }
 
-// badShape is annotated but its goroutine does a bare (single-value)
-// receive and never checks for closure: the worker would hang at shutdown,
-// so the shape check rejects it.
+// coordinate is the old annotated coordinator half.
 //
-//simlint:shard-worker -- fixture: protocol break
-func badShape(s *shard) {
-	work, done := s.work, s.done
-	go func() { // want `annotated shard-worker goroutine breaks the protocol`
-		for {
-			done <- s.run(<-work)
-		}
-	}()
+//simlint:shard-worker -- fixture: no longer an exemption
+func coordinate(s *shard) uint64 {
+	s.work <- 100   // want `channel send in simulation code`
+	return <-s.done // want `channel receive in simulation code`
 }
 
-// preludeShape sneaks a statement in front of the loop: also a protocol
-// break — the worker must be the loop and nothing else.
+// stop is the old annotated termination signal.
 //
-//simlint:shard-worker -- fixture: prelude before the loop
-func preludeShape(s *shard) {
-	work, done := s.work, s.done
-	go func() { // want `annotated shard-worker goroutine breaks the protocol`
-		var extra uint64
-		for {
-			horizon, ok := <-work
-			if !ok {
-				return
-			}
-			extra++
-			done <- s.run(horizon) + extra
-		}
-	}()
-}
-
-// otherChan is annotated, yet a channel outside the work/done pair is
-// still rejected.
-//
-//simlint:shard-worker -- fixture: foreign channel
-func otherChan(s *shard, extra chan int) {
-	extra <- 1 // want `channel send in simulation code`
-	s.work <- 5
+//simlint:shard-worker -- fixture: no longer an exemption
+func stop(s *shard) {
+	close(s.work) // want `closing a channel in simulation code`
 }

@@ -23,7 +23,7 @@ const pingIters = 20
 
 // newStack builds a bare network + GNI (no runtime) for pure benchmarks,
 // recording its kernel in kl.
-func newStack(nodes int, kl *kernelLog) (sim.Kernel, *gemini.Network, *ugni.GNI) {
+func newStack(nodes int, kl *kernelLog) (*sim.Engine, *gemini.Network, *ugni.GNI) {
 	eng := sim.NewEngine()
 	kl.record(eng)
 	net := gemini.NewNetwork(eng, nodes, gemini.DefaultParams())
@@ -53,7 +53,7 @@ func (kl *kernelLog) record(eng *sim.Engine) {
 func (kl *kernelLog) machine(cfg charmgo.MachineConfig) *charmgo.Machine {
 	m := charmgo.NewMachine(cfg)
 	if kl != nil {
-		kl.record(m.Eng().(*sim.Engine))
+		kl.record(m.Eng())
 	}
 	return m
 }
@@ -148,14 +148,14 @@ func FigureFourPoint(size int, unit gemini.Unit, get bool) sim.Time {
 // mpiHost adapts a bare CPU set to mpi.Host for pure-MPI benchmarks. The
 // CPUs live in one slab (one allocation for the whole host).
 type mpiHost struct {
-	eng  sim.Kernel
+	eng  *sim.Engine
 	cpus []sim.PEResource
 }
 
 // hostPESlabs recycles the pure-MPI host's CPU slab across measurements.
 var hostPESlabs mem.SlabCache[sim.PEResource]
 
-func newMPIHost(eng sim.Kernel, n int) *mpiHost {
+func newMPIHost(eng *sim.Engine, n int) *mpiHost {
 	h := &mpiHost{eng: eng, cpus: hostPESlabs.Get(n)}
 	for i := range h.cpus {
 		sim.InitPEResource(&h.cpus[i], sim.Indexed("cpu", i, ""))
@@ -168,7 +168,7 @@ func (h *mpiHost) close() {
 	h.cpus = nil
 }
 
-func (h *mpiHost) Eng() sim.Kernel              { return h.eng }
+func (h *mpiHost) Eng() *sim.Engine             { return h.eng }
 func (h *mpiHost) CPU(rank int) *sim.PEResource { return &h.cpus[rank] }
 
 // PureMPIOneWay measures MPI ping-pong one-way latency. With sameBuf the

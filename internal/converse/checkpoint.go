@@ -55,7 +55,7 @@ func (m *Machine) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("converse: checkpoint with %d messages queued on PE %d", len(m.procs[pe].q), pe)
 		}
 	}
-	kck, err := m.eng.(sim.Checkpointer).Checkpoint()
+	kck, err := m.eng.Checkpoint()
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func (m *Machine) ScheduleNodeKill(node int, at sim.Time) {
 	n.m = m
 	n.node = node
 	n.at = at
-	m.eng.AtNodeArg(node, at, fireKill, n)
+	m.eng.AtArg(at, fireKill, n)
 }
 
 // killNode is one scheduled fail-stop, pooled so kills book closure-free.

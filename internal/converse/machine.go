@@ -40,7 +40,7 @@ func DefaultOptions() Options {
 // Machine is one simulated job: an engine, a network, a machine layer, and
 // NumPEs schedulers.
 type Machine struct {
-	eng   sim.Kernel
+	eng   *sim.Engine
 	net   *gemini.Network
 	layer lrts.Layer
 	opts  Options
@@ -74,7 +74,7 @@ type Machine struct {
 
 // NewMachine wires a machine together and starts the layer. The layer must
 // not have been started elsewhere.
-func NewMachine(eng sim.Kernel, net *gemini.Network, layer lrts.Layer, opts Options) *Machine {
+func NewMachine(eng *sim.Engine, net *gemini.Network, layer lrts.Layer, opts Options) *Machine {
 	m := &Machine{eng: eng, net: net, layer: layer, opts: opts}
 	n := net.NumPEs()
 	probe := eng.Probe()
@@ -115,7 +115,7 @@ func (m *Machine) Close() {
 }
 
 // Eng implements lrts.Host.
-func (m *Machine) Eng() sim.Kernel { return m.eng }
+func (m *Machine) Eng() *sim.Engine { return m.eng }
 
 // NumPEs implements lrts.Host.
 func (m *Machine) NumPEs() int { return len(m.procs) }
@@ -165,7 +165,7 @@ func (m *Machine) Deliver(pe int, msg *lrts.Message, at sim.Time) {
 	n.p = &m.procs[pe]
 	n.msg = msg
 	n.at = at
-	m.eng.AtNodeArg(m.net.NodeOf(pe), at, fireDeliver, n)
+	m.eng.AtArg(at, fireDeliver, n)
 }
 
 // NoteOverhead implements lrts.Host.
@@ -327,7 +327,7 @@ func (p *Proc) kick(at sim.Time) {
 	if f := p.cpu.FreeAt(); f > t {
 		t = f
 	}
-	p.dispatchAt = p.m.eng.AtNodeArg(p.m.net.NodeOf(p.pe), t, fireDispatch, p)
+	p.dispatchAt = p.m.eng.AtArg(t, fireDispatch, p)
 }
 
 // fireDispatch is the closure-free engine callback for scheduler dispatch.

@@ -18,7 +18,6 @@ type unitEngine struct {
 	net      *Network
 	name     sim.Name
 	node     int
-	shard    int32 // owning shard of node (0 when the kernel is flat)
 	res      *sim.GapResource
 	overhead sim.Time // engine startup per transaction
 	bw       float64  // engine serialization bandwidth, bytes/ns
@@ -42,22 +41,19 @@ func (u *unitEngine) Serialization(size int) sim.Time {
 	return sim.DurationOf(size, u.bw)
 }
 
-// Enqueue schedules a completion callback on the machine's event loop,
-// booked into the shard owning this engine's node when the kernel is
-// sharded.
+// Enqueue schedules a completion callback on the machine's event loop.
 //
 //simlint:hotpath
 func (u *unitEngine) Enqueue(at sim.Time, fn func()) {
-	u.net.Eng.AtNode(u.node, at, fn)
+	u.net.Eng.At(at, fn)
 }
 
 // EnqueueArg schedules a closure-free completion callback on the machine's
-// event loop (see sim.Engine.AtArg), booked into the shard owning this
-// engine's node.
+// event loop (see sim.Engine.AtArg).
 //
 //simlint:hotpath
 func (u *unitEngine) EnqueueArg(at sim.Time, fn func(any), arg any) {
-	u.net.Eng.AtNodeArg(u.node, at, fn, arg)
+	u.net.Eng.AtArg(at, fn, arg)
 }
 
 // Transfer books a data movement of size bytes from this engine's node to
@@ -76,9 +72,8 @@ func (u *unitEngine) Transfer(dstNode, size int, ready sim.Time) (srcDone, dstAr
 	if size < 0 {
 		size = 0
 	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
+	n.transfers++
+	n.bytes += int64(size)
 	serUnit := sim.DurationOf(size, u.bw)
 
 	if u.node == dstNode {
@@ -91,47 +86,11 @@ func (u *unitEngine) Transfer(dstNode, size int, ready sim.Time) (srcDone, dstAr
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
 	}
-	if n.willDefer(u.node, dstNode) {
-		// The synchronous form cannot hand back an arrival the barrier
-		// has not computed yet; only TransferThen may cross the shard
-		// partition inside a parallel window.
-		panic("gemini: synchronous Transfer across the shard partition inside a window; use TransferThen")
-	}
 
 	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
 	launch := es + u.overhead
 	dstArrive = n.bookPath(u.node, dstNode, size, serUnit, launch)
 	return ee, dstArrive + u.extra
-}
-
-// TransferThen is Transfer with the arrival delivered through done(arg,
-// dstArrive), the form the parallel-window halo demo books through.
-// Intra-shard (and flat-kernel, and loopback) bookings run done
-// synchronously; a cross-partition booking inside a window books
-// the engine side immediately — the source engine is shard-local — and
-// defers the path booking plus the callback to the window barrier, where
-// reservations apply in deterministic (timestamp, shard, emission)
-// order.
-//
-//simlint:hotpath
-func (u *unitEngine) TransferThen(dstNode, size int, ready sim.Time, done func(any, sim.Time), arg any) (srcDone sim.Time) {
-	n := u.net
-	if size < 0 {
-		size = 0
-	}
-	if u.node == dstNode || !n.willDefer(u.node, dstNode) {
-		srcDone, dstArrive := u.Transfer(dstNode, size, ready)
-		done(arg, dstArrive)
-		return srcDone
-	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
-	serUnit := sim.DurationOf(size, u.bw)
-	es, ee := u.res.Acquire(ready, u.overhead+serUnit)
-	launch := es + u.overhead
-	n.deferPath(int(u.shard), u.node, dstNode, size, serUnit, launch, u.extra, done, arg)
-	return ee
 }
 
 // Get books a read transaction: this engine sends a read request to the
@@ -145,9 +104,8 @@ func (u *unitEngine) Get(target, size int, ready sim.Time) (reqDone, dataArrive 
 	if size < 0 {
 		size = 0
 	}
-	tl := &n.tallies[u.shard]
-	tl.transfers++
-	tl.bytes += int64(size)
+	n.transfers++
+	n.bytes += int64(size)
 	serUnit := sim.DurationOf(size, u.bw)
 
 	if u.node == target {
@@ -157,9 +115,6 @@ func (u *unitEngine) Get(target, size int, ready sim.Time) (reqDone, dataArrive 
 		}
 		_, e := u.res.Acquire(ready, u.overhead+ser)
 		return e, e + n.P.LoopbackLatency + u.extra
-	}
-	if n.willDefer(u.node, target) {
-		panic("gemini: Get across the shard partition inside a window")
 	}
 
 	es, ee := u.res.Acquire(ready, u.overhead+serUnit)

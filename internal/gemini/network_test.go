@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"charmgo/internal/sim"
+	"charmgo/internal/topology"
 )
 
 func newNet(nodes int) *Network {
@@ -287,6 +288,133 @@ func TestPEMappingNonCubicTori(t *testing.T) {
 			x, y, z := n.Topo.Coords(id)
 			if got := n.Topo.Node(x, y, z); got != id {
 				t.Fatalf("%d nodes: Node(Coords(%d)) = %d", nodes, id, got)
+			}
+		}
+	}
+}
+
+// xferOp is one transfer of the link-conservation workload.
+type xferOp struct {
+	at       sim.Time
+	src, dst int
+	size     int
+	u        Unit
+}
+
+// launchOp books one transfer from its launch event and records its
+// arrival.
+type launchOp struct {
+	net    *Network
+	op     *xferOp
+	arrive sim.Time
+}
+
+func fireLaunch(arg any) {
+	l := arg.(*launchOp)
+	_, l.arrive = l.net.Transfer(l.op.src, l.op.dst, l.op.size, l.op.u, l.op.at)
+}
+
+func xorshift64(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
+
+// runLinkWorkload launches every op from its own event and returns every
+// link's occupancy fingerprint plus every transfer's arrival time.
+func runLinkWorkload(nodes int, ops []xferOp) ([]LinkOccupancy, []sim.Time) {
+	eng := sim.NewEngine()
+	net := NewNetwork(eng, nodes, DefaultParams())
+	defer net.Close()
+	launches := make([]launchOp, len(ops))
+	for i := range ops {
+		launches[i] = launchOp{net: net, op: &ops[i]}
+		eng.AtArg(ops[i].at, fireLaunch, &launches[i])
+	}
+	eng.Run()
+	arrivals := make([]sim.Time, len(ops))
+	for i := range launches {
+		arrivals[i] = launches[i].arrive
+	}
+	return net.LinkOccupancies(nil), arrivals
+}
+
+// drawCrossTraffic derives an adversarial random mix from seed: 200
+// transfers between arbitrary distinct node pairs (multi-hop routes,
+// sizes spanning the FMA/BTE crossover, all four units).
+func drawCrossTraffic(seed uint64, nodes int) []xferOp {
+	r := seed*0x9e3779b97f4a7c15 + 1
+	next := func(n int) int {
+		r = xorshift64(r)
+		return int(r % uint64(n))
+	}
+	var ops []xferOp
+	for i := 0; i < 200; i++ {
+		src := next(nodes)
+		dst := next(nodes)
+		if dst == src {
+			dst = (src + 1) % nodes
+		}
+		ops = append(ops, xferOp{
+			at:   sim.Time(next(40_000)),
+			src:  src,
+			dst:  dst,
+			size: 1 << (6 + next(10)), // 64B .. 32KB
+			u:    Unit(next(4)),
+		})
+	}
+	return ops
+}
+
+// TestLinkTrafficConservation checks per-link accounting under contended
+// multi-hop cross-traffic: every link's busy time equals the sum of the
+// link serialization times of the transfers whose dimension-ordered route
+// crosses it, its booking count equals the number of those transfers, and
+// a second run reproduces every arrival and every occupancy.
+func TestLinkTrafficConservation(t *testing.T) {
+	const nodes = 64
+	p := DefaultParams()
+	tab := topology.NewTable(topology.Shape(nodes))
+	seeds := 20
+	if testing.Short() {
+		seeds = 6
+	}
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		ops := drawCrossTraffic(seed, nodes)
+		occ, arrivals := runLinkWorkload(nodes, ops)
+		busy := make([]sim.Time, len(occ))
+		acquires := make([]uint64, len(occ))
+		var path []topology.LinkID
+		hops := 0
+		for _, op := range ops {
+			path = tab.AppendLinkIDs(path[:0], op.src, op.dst)
+			hops += len(path)
+			for _, li := range path {
+				busy[li] += sim.DurationOf(op.size, p.LinkBW)
+				acquires[li]++
+			}
+		}
+		if hops <= len(ops) {
+			t.Fatalf("seed %d: %d transfers cross only %d links; the mix needs multi-hop routes", seed, len(ops), hops)
+		}
+		for i := range occ {
+			if occ[i].Busy != busy[i] || occ[i].Acquires != acquires[i] {
+				t.Fatalf("seed %d: link %d occupancy %+v, routes carry busy=%v acquires=%d",
+					seed, i, occ[i], busy[i], acquires[i])
+			}
+		}
+		occ2, arrivals2 := runLinkWorkload(nodes, ops)
+		for i := range arrivals {
+			if arrivals[i] != arrivals2[i] {
+				t.Fatalf("seed %d: nondeterministic arrival for transfer %d: %v vs %v",
+					seed, i, arrivals[i], arrivals2[i])
+			}
+		}
+		for i := range occ {
+			if occ[i] != occ2[i] {
+				t.Fatalf("seed %d: nondeterministic occupancy for link %d: %+v vs %+v",
+					seed, i, occ[i], occ2[i])
 			}
 		}
 	}

@@ -150,18 +150,6 @@ func SMSGMaxSize(jobPEs int) int {
 	}
 }
 
-// ShardLookahead prices a minimal cross-shard hop count with the link
-// model: no message can land on another node sooner than injection plus
-// per-hop router traversal, so this is a sound conservative window bound
-// for a sharded kernel. A hop count below 1 is clamped to 1 (any
-// cross-node message crosses at least one link).
-func (p Params) ShardLookahead(minHops int) sim.Time {
-	if minHops < 1 {
-		minHops = 1
-	}
-	return p.InjectionLatency + sim.Time(minHops)*p.HopLatency
-}
-
 // FMABTECrossover reports the message size at which the machine layer
 // switches from FMA to BTE for RDMA transactions. The paper places the
 // application crossover between 2 KiB and 8 KiB; 4096 is the BTE

@@ -13,11 +13,11 @@ import "sync/atomic"
 
 // live counts pooled descriptors currently acquired across every FreeList
 // in the process. It is the one process-global the otherwise goroutine-
-// confined free lists share, so it is atomic: the sharded kernel's window
-// workers may touch it concurrently, and a torn counter would fail the
-// leak gate spuriously. Each FreeList itself stays single-owner — only the
-// shared diagnostic total needs the atomics. The leak test asserts this
-// returns to its pre-run value after every experiment drains.
+// confined free lists share. Simulation code runs one goroutine at a
+// time, so nothing updates it concurrently; it stays atomic until
+// ROADMAP.md's hot-path part (2) retires the counter. Each FreeList itself is
+// single-owner. The leak test asserts this returns to its pre-run value
+// after every experiment drains.
 var live atomic.Int64
 
 // LiveDescriptors reports how many pooled descriptors are currently
@@ -64,7 +64,7 @@ func (f *FreeList[T]) Get() *T {
 		f.free = f.free[:n-1]
 		return x
 	}
-	//simlint:allow hotpathalloc -- pool miss path: allocates only while the free list is empty; steady state recycles (machine layers run coordinator-side; the only cross-shard cell here is the live counter, which is atomic)
+	//simlint:allow hotpathalloc -- pool miss path: allocates only while the free list is empty; steady state recycles
 	return new(T)
 }
 

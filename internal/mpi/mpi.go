@@ -28,7 +28,7 @@ import (
 
 // Host provides the per-rank CPU resources and the engine.
 type Host interface {
-	Eng() sim.Kernel
+	Eng() *sim.Engine
 	CPU(rank int) *sim.PEResource
 }
 

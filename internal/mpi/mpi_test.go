@@ -10,11 +10,11 @@ import (
 
 // testHost is a minimal mpi.Host for library tests.
 type testHost struct {
-	eng  sim.Kernel
+	eng  *sim.Engine
 	cpus []*sim.PEResource
 }
 
-func (h *testHost) Eng() sim.Kernel              { return h.eng }
+func (h *testHost) Eng() *sim.Engine             { return h.eng }
 func (h *testHost) CPU(rank int) *sim.PEResource { return h.cpus[rank] }
 
 func newComm(t *testing.T, nodes int) (*Comm, *testHost) {

@@ -15,8 +15,6 @@ import "fmt"
 type KernelCheckpoint struct {
 	// Now is the virtual clock at the checkpoint.
 	Now Time
-	// LastAt is the timestamp of the most recently fired event.
-	LastAt Time
 	// Seq is the next scheduling sequence number.
 	Seq uint64
 	// Fired is the cumulative count of executed events.
@@ -33,34 +31,21 @@ func (ck KernelCheckpoint) Advanced(at Time) KernelCheckpoint {
 		panic(fmt.Sprintf("sim: KernelCheckpoint.Advanced(%v) before checkpoint time %v", at, ck.Now))
 	}
 	ck.Now = at
-	ck.LastAt = at
 	return ck
 }
 
-// Checkpointer is the snapshot/restore surface of a kernel. The flat
-// Engine implements it and enforces the coordination rule — snapshot and
-// restore are only legal at quiescence (Pending() == 0), which is what
-// makes the checkpoint this small and the restore this cheap.
-type Checkpointer interface {
-	// Checkpoint snapshots the kernel. It fails unless the kernel is
-	// quiescent.
-	Checkpoint() (KernelCheckpoint, error)
-	// Restore warps a quiescent kernel onto the checkpoint's clock and
-	// sequence counter. The clock may only move forward.
-	Restore(ck KernelCheckpoint) error
-}
-
-var _ Checkpointer = (*Engine)(nil)
-
-// Checkpoint implements Checkpointer.
+// Checkpoint snapshots the engine. Snapshot and restore are only legal
+// at quiescence (Pending() == 0), which is what makes the checkpoint this
+// small and the restore this cheap, so it fails while events are pending.
 func (e *Engine) Checkpoint() (KernelCheckpoint, error) {
 	if e.live != 0 {
 		return KernelCheckpoint{}, fmt.Errorf("sim: checkpoint with %d events pending", e.live)
 	}
-	return KernelCheckpoint{Now: e.now, LastAt: e.lastAt, Seq: e.seq, Fired: e.fired}, nil
+	return KernelCheckpoint{Now: e.now, Seq: e.seq, Fired: e.fired}, nil
 }
 
-// Restore implements Checkpointer.
+// Restore warps a quiescent engine onto the checkpoint's clock and
+// sequence counter. The clock may only move forward.
 func (e *Engine) Restore(ck KernelCheckpoint) error {
 	if e.live != 0 {
 		return fmt.Errorf("sim: restore with %d events pending", e.live)
@@ -69,7 +54,6 @@ func (e *Engine) Restore(ck KernelCheckpoint) error {
 		return fmt.Errorf("sim: restore would rewind clock from %v to %v", e.now, ck.Now)
 	}
 	e.now = ck.Now
-	e.lastAt = ck.LastAt
 	e.seq = ck.Seq
 	e.fired = ck.Fired
 	return nil

@@ -9,7 +9,7 @@ import (
 // apart starting at t0, appending "(time,tag)" markers to log. Two events
 // land on every instant (tags a and b scheduled in that order), so the log
 // also witnesses (time, sequence) tie-breaking across a restore.
-func chainPhase(k Kernel, t0, step Time, n int, log *[]string) {
+func chainPhase(k *Engine, t0, step Time, n int, log *[]string) {
 	for i := 0; i < n; i++ {
 		at := t0 + Time(i)*step
 		for _, tag := range []string{"a", "b"} {
@@ -104,9 +104,9 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 // TestCheckpointAdvanced pins the forward-warp helper used to price
 // detection delay and restart cost into a rollback.
 func TestCheckpointAdvanced(t *testing.T) {
-	ck := KernelCheckpoint{Now: 10, LastAt: 10, Seq: 3, Fired: 3}
+	ck := KernelCheckpoint{Now: 10, Seq: 3, Fired: 3}
 	w := ck.Advanced(25)
-	if w.Now != 25 || w.LastAt != 25 || w.Seq != 3 || w.Fired != 3 {
+	if w.Now != 25 || w.Seq != 3 || w.Fired != 3 {
 		t.Fatalf("Advanced(25) = %+v", w)
 	}
 	defer func() {

@@ -41,7 +41,6 @@ func (ev *Event) Cancel() {
 	ev.afn = nil
 	ev.arg = nil
 	e := ev.eng
-	e.q.cancel(ev)
 	e.live--
 	e.cancelled++
 	if e.cancelled > e.live/2 {
@@ -72,7 +71,6 @@ type entry struct {
 // in a sorted pair instead.
 type Engine struct {
 	now       Time
-	lastAt    Time // timestamp of the most recently fired event (RunUntil moves now past it)
 	q         queue
 	seq       uint64
 	fired     uint64
@@ -153,21 +151,6 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
-// AtNode is At with a routing hint: the callback concerns the given
-// simulated node. The flat engine has a single event population, so the
-// hint is ignored; a ShardedEngine uses it to book the event into the
-// owning shard's queue.
-//
-//simlint:hotpath
-func (e *Engine) AtNode(node int, t Time, fn func()) *Event { return e.At(t, fn) }
-
-// AtNodeArg is AtArg with a node routing hint (see AtNode).
-//
-//simlint:hotpath
-func (e *Engine) AtNodeArg(node int, t Time, fn func(any), arg any) *Event {
-	return e.AtArg(t, fn, arg)
-}
-
 // acquire pops a pooled record (or allocates the pool's next one), books it
 // at t, and pushes its queue entry. The caller sets exactly one of fn/afn.
 func (e *Engine) acquire(t Time) *Event {
@@ -179,7 +162,7 @@ func (e *Engine) acquire(t Time) *Event {
 		e.free = ev.next
 		ev.next = nil
 	} else {
-		//simlint:allow hotpathalloc -- event pool miss path: allocates only while the free list is empty; steady state recycles (the list is per-Engine, so each shard worker recycles its own pool — no cross-shard aliasing)
+		//simlint:allow hotpathalloc -- event pool miss path: allocates only while the free list is empty; steady state recycles
 		ev = &Event{eng: e}
 	}
 	ev.at = t
@@ -189,29 +172,11 @@ func (e *Engine) acquire(t Time) *Event {
 	return ev
 }
 
-// nextSeq returns the next scheduling sequence number. Every Engine owns
-// its counter — each shard of a ShardedEngine included — so window
-// workers assign sequences without contending on shared state.
+// nextSeq returns the next scheduling sequence number.
 func (e *Engine) nextSeq() uint64 {
 	s := e.seq
 	e.seq = s + 1
 	return s
-}
-
-// peek reports the ordering key of the next live event without firing it,
-// reclaiming any cancelled records at the front. ok is false when no live
-// events remain. It never moves the queue's front time: callers (the
-// lockstep ShardedEngine) may still schedule before the key it reports.
-func (e *Engine) peek() (at Time, seq uint64, ok bool) {
-	q := &e.q
-	for f := q.front(); f != nil; f = q.front() {
-		if f.ev.state != evCancelled {
-			return f.at, f.seq, true
-		}
-		e.drop()
-	}
-	en, ok := q.bucketMin()
-	return en.at, en.seq, ok
 }
 
 // drop pops the cancelled entry at the front and reclaims its record.
@@ -255,7 +220,6 @@ func (e *Engine) Step() bool {
 		e.release(ev)
 		e.live--
 		e.now = en.at
-		e.lastAt = en.at
 		e.fired++
 		if e.probe != nil {
 			e.probe.EventFired(e.now, e.live)

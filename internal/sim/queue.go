@@ -92,8 +92,6 @@ type queue struct {
 	mask   uint64    // bit i set while bucket i is non-empty
 	chunks []*chunk  // every chunk by id; chunks[0] is unused
 	spare  int32     // recycled chunks, linked through next
-	min    entry     // live minimum over the buckets, while minOK
-	minOK  bool      // min is valid (only peek fills it)
 	stats  QueueStats
 }
 
@@ -151,9 +149,6 @@ func (q *queue) place(en entry) {
 	}
 	q.mask |= 1 << (d - 1)
 	q.append(&q.bk[d-1], en)
-	if q.minOK && en.at < q.min.at {
-		q.min = en
-	}
 }
 
 // append adds en at the tail of l. The common case, room in the tail
@@ -273,7 +268,6 @@ func (q *queue) refill(deadline Time) bool {
 	}
 	q.bk[i] = lane{}
 	q.mask &^= 1 << i
-	q.minOK = false
 	q.last = m
 	q.stats.Refills++
 	c := q.chunks[l.head]
@@ -315,37 +309,6 @@ func (q *queue) spread(es []entry, m Time) {
 			}
 		}
 		q.appendChunk(l, en)
-	}
-}
-
-// bucketMin returns the smallest (time, sequence) live entry in the
-// buckets; ok is false when they hold none. The answer is cached until
-// the buckets next change: the lockstep ShardedEngine peeks at every
-// shard before each event it fires, and rescanning an idle shard's
-// buckets each time made the shard-scale tests 20 times slower (5 s to
-// 100 s on a 2-vCPU host).
-func (q *queue) bucketMin() (min entry, ok bool) {
-	if q.minOK {
-		return q.min, true
-	}
-	for m := q.mask; m != 0 && !ok; m &= m - 1 {
-		for id := q.bk[bits.TrailingZeros64(m)].head; id != 0; id = q.chunks[id].next {
-			c := q.chunks[id]
-			for _, en := range c.e[:c.n] {
-				if en.ev.state != evCancelled && (!ok || en.at < min.at || (en.at == min.at && en.seq < min.seq)) {
-					min, ok = en, true
-				}
-			}
-		}
-	}
-	q.min, q.minOK = min, ok
-	return min, ok
-}
-
-// cancel forgets the cached bucket minimum if ev holds it.
-func (q *queue) cancel(ev *Event) {
-	if q.minOK && q.min.ev == ev {
-		q.minOK = false
 	}
 }
 

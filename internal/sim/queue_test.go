@@ -5,17 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzEngineOrder drives the flat Engine and a two-shard lockstep
-// ShardedEngine with a fuzzed operation stream and checks both against a
-// reference that keeps pending events in a plain slice and fires the
-// smallest (time, sequence, shard) key. After every operation the fired
-// order, Now(), Pending() and Fired() must match. The checked-in corpus
+// FuzzEngineOrder drives the Engine with a fuzzed operation stream and
+// checks it against a reference that keeps pending events in a plain
+// slice and fires the smallest (time, sequence) key. After every
+// operation the fired order, Now(), Pending() and Fired() must match. The checked-in corpus
 // (testdata/fuzz) runs with the ordinary tests; `make fuzz-smoke`
 // explores beyond it.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runOrderStream(t, NewEngine(), 1, data)
-		runOrderStream(t, NewParallelEngine(2, []int32{0, 1}, 1), 2, data)
+		runOrderStream(t, NewEngine(), data)
 	})
 }
 
@@ -23,13 +21,13 @@ func FuzzEngineOrder(f *testing.F) {
 // numOrderOps) and two arguments a and b. Scheduling has two kinds so
 // that streams keep a population to order.
 const (
-	opSchedule = iota // a: node (bit 0), chain (bit 1); b: delay
+	opSchedule = iota // a: chain (bit 1); b: delay
 	opSchedule2
 	opCancel // a: which pending event
 	opStep
 	opRunUntil   // b: deadline past now
-	opCheckpoint // b: how far Restore warps the clock (flat engine only)
-	opPeek
+	opCheckpoint // b: how far Restore warps the clock
+	opPeek       // no-op: keeps the checked-in corpus decoding to the same streams
 	numOrderOps
 )
 
@@ -46,9 +44,7 @@ func orderDelay(b byte) Time {
 type refEvent struct {
 	at    Time
 	seq   uint64
-	shard int
 	id    int
-	node  int
 	chain bool
 	ev    *Event
 }
@@ -57,19 +53,15 @@ func (r refEvent) before(o refEvent) bool {
 	if r.at != o.at {
 		return r.at < o.at
 	}
-	if r.seq != o.seq {
-		return r.seq < o.seq
-	}
-	return r.shard < o.shard
+	return r.seq < o.seq
 }
 
-// orderRun holds one kernel under test and its reference.
+// orderRun holds the engine under test and its reference.
 type orderRun struct {
 	t       *testing.T
-	k       Kernel
-	shards  int
+	k       *Engine
 	now     Time
-	seq     [2]uint64
+	seq     uint64
 	pending []refEvent
 	want    []int // reference firing order (event ids)
 	got     []int // kernel firing order
@@ -82,8 +74,8 @@ type orderRun struct {
 // child is the id of the zero-delay follow-up a chained event schedules.
 func child(id int) int { return id + 1_000_000 }
 
-func runOrderStream(t *testing.T, k Kernel, shards int, data []byte) {
-	r := &orderRun{t: t, k: k, shards: shards, children: map[int]*Event{}}
+func runOrderStream(t *testing.T, k *Engine, data []byte) {
+	r := &orderRun{t: t, k: k, children: map[int]*Event{}}
 	if len(data) > 3*400 {
 		data = data[:3*400]
 	}
@@ -100,8 +92,7 @@ func runOrderStream(t *testing.T, k Kernel, shards int, data []byte) {
 func (r *orderRun) apply(op int, a, b byte) {
 	switch op {
 	case opSchedule, opSchedule2:
-		node := int(a & 1)
-		r.schedule(node, r.now+orderDelay(b), a&2 != 0, r.nextID)
+		r.schedule(r.now+orderDelay(b), a&2 != 0, r.nextID)
 		r.nextID++
 	case opCancel:
 		if len(r.pending) == 0 {
@@ -122,11 +113,7 @@ func (r *orderRun) apply(op int, a, b byte) {
 			r.now = deadline
 		}
 	case opCheckpoint:
-		e, ok := r.k.(*Engine)
-		if !ok {
-			return
-		}
-		ck, err := e.Checkpoint()
+		ck, err := r.k.Checkpoint()
 		if len(r.pending) > 0 {
 			if err == nil {
 				r.t.Fatalf("Checkpoint with %d pending succeeded", len(r.pending))
@@ -137,35 +124,30 @@ func (r *orderRun) apply(op int, a, b byte) {
 			r.t.Fatal(err)
 		}
 		to := r.now + orderDelay(b)
-		if err := e.Restore(ck.Advanced(to)); err != nil {
+		if err := r.k.Restore(ck.Advanced(to)); err != nil {
 			r.t.Fatal(err)
 		}
 		r.now = to
-	case opPeek:
-		r.peek()
 	}
 }
 
 // schedule books event id on the kernel and the reference.
-func (r *orderRun) schedule(node int, at Time, chain bool, id int) {
+func (r *orderRun) schedule(at Time, chain bool, id int) {
 	fn := func() {
 		r.got = append(r.got, id)
 		if chain {
 			c := child(id)
-			r.children[c] = r.k.AtNode(node, r.k.Now(), func() { r.got = append(r.got, c) })
+			r.children[c] = r.k.At(r.k.Now(), func() { r.got = append(r.got, c) })
 		}
 	}
-	ev := r.k.AtNode(node, at, fn)
-	r.push(refEvent{at: at, node: node, chain: chain, id: id, ev: ev})
+	ev := r.k.At(at, fn)
+	r.push(refEvent{at: at, chain: chain, id: id, ev: ev})
 }
 
-// push adds ev to the reference with the next sequence of its shard.
+// push adds ev to the reference with the next sequence.
 func (r *orderRun) push(ev refEvent) {
-	if r.shards > 1 {
-		ev.shard = ev.node
-	}
-	ev.seq = r.seq[ev.shard]
-	r.seq[ev.shard]++
+	ev.seq = r.seq
+	r.seq++
 	r.pending = append(r.pending, ev)
 }
 
@@ -202,33 +184,9 @@ func (r *orderRun) fire(limit int, deadline Time) int {
 			r.t.Fatalf("event %d fired in the reference but not in the kernel", ev.id)
 		}
 		delete(r.children, c)
-		r.push(refEvent{at: ev.at, node: ev.node, id: c, ev: h})
+		r.push(refEvent{at: ev.at, id: c, ev: h})
 	}
 	return n
-}
-
-// peek checks the kernel's view of its next event without firing it.
-func (r *orderRun) peek() {
-	m := r.min()
-	var at Time
-	var ok bool
-	switch k := r.k.(type) {
-	case *Engine:
-		var seq uint64
-		at, seq, ok = k.peek()
-		if ok && m >= 0 && seq != r.pending[m].seq {
-			r.t.Fatalf("peek seq %d, reference %d", seq, r.pending[m].seq)
-		}
-	case *ShardedEngine:
-		var shard int
-		shard, at, ok = k.pickMin()
-		if ok && m >= 0 && shard != r.pending[m].shard {
-			r.t.Fatalf("pickMin shard %d, reference %d", shard, r.pending[m].shard)
-		}
-	}
-	if ok != (m >= 0) || (ok && at != r.pending[m].at) {
-		r.t.Fatalf("peek = (%v, %v), reference has %d pending", at, ok, len(r.pending))
-	}
 }
 
 func (r *orderRun) check(where string) {

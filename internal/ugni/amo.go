@@ -120,6 +120,6 @@ func (g *GNI) PostAMO(d *AMODesc, at sim.Time) sim.Time {
 	fl.g, fl.d, fl.rNode = g, d, rNode
 	_, fl.at = g.Net.Transfer(iNode, rNode, amoWireBytes, gemini.UnitFMA, at)
 	// The register lives at the remote NIC: apply on its node.
-	g.Net.Eng.AtNodeArg(rNode, fl.at, amoApply, fl)
+	g.Net.Eng.AtArg(fl.at, amoApply, fl)
 	return g.Net.P.HostPostCPU
 }
