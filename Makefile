@@ -68,7 +68,8 @@ resilience-matrix:
 	$(GO) test -race -count=1 ./internal/resilience/ ./internal/fault/
 
 # Quick microbenchmark pass over the kernel and uGNI SMSG hot paths (the
-# event queue at the pingpong and namd population shapes included), a
+# event queue at the pingpong and namd population shapes, and SMSG sends
+# over 4,096 and namd's 220,000 established pairs, included), a
 # small chunked N-Queens run (allocs/op of the pooled task messages), and
 # the end-to-end fig9a wall-clock benchmark.
 bench-smoke:
@@ -79,14 +80,18 @@ bench-smoke:
 	$(GO) test -run - -bench BenchmarkFig9aWallClock -benchtime 5x .
 
 # Ten seconds each of coverage-guided fuzzing of GapResource against its
-# linear reference under a forward-only clock, and of the event kernel's
-# firing order against a sort-by-key reference. `go test` runs only the checked-in corpora
-# (internal/sim/testdata/fuzz/<target>); a failing input found here is
+# linear reference under a forward-only clock, of the event kernel's
+# firing order against a sort-by-key reference, of the SMSG endpoint
+# tables against a pair-keyed map, and of topology.Table against the
+# Torus it precomputes. `go test` runs only the checked-in corpora
+# (<package>/testdata/fuzz/<target>); a failing input found here is
 # written there and becomes a regression case. -fuzz takes one target per
 # invocation.
 fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzGapResource -fuzztime 10s ./internal/sim/
 	$(GO) test -run - -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim/
+	$(GO) test -run - -fuzz FuzzSmsgEndpoints -fuzztime 10s ./internal/ugni/
+	$(GO) test -run - -fuzz FuzzTopologyTable -fuzztime 10s ./internal/topology/
 
 # CPU and allocation profiles of the end-to-end fig9a benchmark, written
 # to /tmp. Inspect with `go tool pprof -top /tmp/charmgo_cpu.prof` (or

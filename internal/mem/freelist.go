@@ -15,7 +15,7 @@ import "sync/atomic"
 // in the process. It is the one process-global the otherwise goroutine-
 // confined free lists share. Simulation code runs one goroutine at a
 // time, so nothing updates it concurrently; it stays atomic until
-// ROADMAP.md's hot-path part (2) retires the counter. Each FreeList itself is
+// ROADMAP.md's hot-path part (1) retires the counter. Each FreeList itself is
 // single-owner. The leak test asserts this returns to its pre-run value
 // after every experiment drains.
 var live atomic.Int64

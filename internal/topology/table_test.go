@@ -66,3 +66,47 @@ func TestTableLinkIDsMatchAppendPath(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTopologyTable checks Table against the Torus it precomputes on
+// random shapes: Coords, Hops, and AppendLinkIDs against AppendPath plus
+// LinkIndex (NeighborLink too, on one-hop pairs). The first three bytes
+// pick the dimensions (1..6 each, so one byte reaches every node); each
+// following pair of bytes picks a (src, dst) node pair. `go test` replays the corpus under
+// testdata/fuzz/FuzzTopologyTable; `make fuzz-smoke` fuzzes it.
+func FuzzTopologyTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		tor := Torus{X: 1 + int(data[0]%6), Y: 1 + int(data[1]%6), Z: 1 + int(data[2]%6)}
+		tb := NewTable(tor)
+		n := tor.Nodes()
+		var links []Link
+		var ids []LinkID
+		for data = data[3:]; len(data) >= 2; data = data[2:] {
+			a, b := int(data[0])%n, int(data[1])%n
+			wx, wy, wz := tor.Coords(a)
+			if gx, gy, gz := tb.Coords(a); gx != wx || gy != wy || gz != wz {
+				t.Fatalf("%v: Table.Coords(%d) = (%d,%d,%d), Torus.Coords = (%d,%d,%d)",
+					tor, a, gx, gy, gz, wx, wy, wz)
+			}
+			hops := tor.Hops(a, b)
+			if got := tb.Hops(a, b); got != hops {
+				t.Fatalf("%v: Table.Hops(%d,%d) = %d, Torus.Hops = %d", tor, a, b, got, hops)
+			}
+			links = tor.AppendPath(links[:0], a, b)
+			ids = tb.AppendLinkIDs(ids[:0], a, b)
+			if len(ids) != len(links) || len(ids) != hops {
+				t.Fatalf("%v: path %d->%d: %d link IDs, %d links, %d hops", tor, a, b, len(ids), len(links), hops)
+			}
+			for i, l := range links {
+				if int(ids[i]) != tor.LinkIndex(l) {
+					t.Fatalf("%v: path %d->%d hop %d: LinkID %d, LinkIndex %d", tor, a, b, i, ids[i], tor.LinkIndex(l))
+				}
+			}
+			if hops == 1 && tb.NeighborLink(a, b) != ids[0] {
+				t.Fatalf("%v: NeighborLink(%d,%d) = %d, route link %d", tor, a, b, tb.NeighborLink(a, b), ids[0])
+			}
+		}
+	})
+}

@@ -136,6 +136,36 @@ func TestSqueezeCredits(t *testing.T) {
 	}
 }
 
+// TestSqueezeCreditsUnboundedWindow pins the restore edge when credits
+// are disabled by configuration (SMSGCreditSlots = 0): the squeeze ends
+// by reopening the pair's unbounded window, not by writing the raw slot
+// count, which would leave the pair refused forever.
+func TestSqueezeCreditsUnboundedWindow(t *testing.T) {
+	p := gemini.DefaultParams()
+	p.SMSGCreditSlots = 0
+	g, eng := newGNIParams(4, p)
+	src, dst := 0, 24
+	dstCQ := g.CqCreate("dst-rx")
+	dstCQ.OnEvent = func(Event) {}
+	g.AttachSmsgCQ(dst, dstCQ)
+	const from, until = 1000, 2000
+	g.SqueezeCredits(src, dst, 0, from, until)
+	var inWindow, after RC
+	eng.At(from+1, func() {
+		_, inWindow, _ = g.SmsgSendWTag(src, dst, 0, 64, nil, from+1, nil)
+	})
+	eng.At(until+1, func() {
+		_, after, _ = g.SmsgSendWTag(src, dst, 0, 64, nil, until+1, nil)
+	})
+	eng.Run()
+	if inWindow != RCNotDone {
+		t.Fatalf("rc inside squeeze = %v, want RC_NOT_DONE", inWindow)
+	}
+	if after != RCSuccess {
+		t.Fatalf("rc after squeeze with credits disabled = %v, want RC_SUCCESS", after)
+	}
+}
+
 // TestCqBackPressureOverrunRecover pins the finite-CQ path: deliveries
 // inside a suspension window defer; past the depth the queue overruns; at
 // resume OnError fires, recovery clears the flag, and every deferred event

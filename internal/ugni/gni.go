@@ -3,6 +3,7 @@ package ugni
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"charmgo/internal/gemini"
 	"charmgo/internal/mem"
@@ -20,14 +21,19 @@ type GNI struct {
 	mbxBytes int64
 	amoRegs  map[amoKey]int64 // lazily created on first AMO
 
-	// conns holds one record per ordered (src,dst) SMSG pair, created on
-	// the pair's first send (or by SqueezeCredits): its credit window and
-	// whether the pair's mailbox is accounted. A send looks its record up
-	// once and the delivery carries it, so the receive side returns the
-	// credit when it dequeues the message (hook invocation or GetEvent)
-	// without a lookup. A sender that saw RCNotDone gets one EvCreditReturn
+	// eps holds the SMSG endpoints, one table per sending PE (nil until
+	// the first send or squeeze): the PE's record for each peer it has
+	// an ordered connection to, created on the pair's first send (or by
+	// SqueezeCredits). A record carries the pair's credit window and
+	// whether its mailbox is accounted. A send looks its record up once
+	// and the delivery carries it, so the receive side returns the credit
+	// when it dequeues the message (hook invocation or GetEvent) without
+	// a lookup. A sender that saw RCNotDone gets one EvCreditReturn
 	// notification per starvation episode when the window reopens.
-	conns           map[uint64]*smsgConn
+	eps []epTable
+	// slab is the current chunk the records are carved from. Chunks are
+	// never reallocated, so a record's address is stable for the job.
+	slab            []smsgConn
 	creditsInFlight int64 //simlint:proto credit account
 
 	// txArm counts armed one-shot transaction errors per initiator PE
@@ -65,7 +71,6 @@ func New(net *gemini.Network) *GNI {
 		Net:     net,
 		smsgMax: gemini.SMSGMaxSize(net.NumPEs()),
 		rxCQ:    make([]*CQ, net.NumPEs()),
-		conns:   make(map[uint64]*smsgConn),
 	}
 }
 
@@ -149,10 +154,11 @@ func (g *GNI) MailboxBytes() int64 { return g.mbxBytes }
 
 // connect accounts the mailbox of c's PE pair on the pair's first send in
 // either direction: both endpoints allocate and register a mailbox ring.
-// The reverse record settles whether the other direction already did; one
-// that SqueezeCredits created before any send has no mailbox yet.
+// The reverse record, in dst's endpoint table, settles whether the other
+// direction already did; one that SqueezeCredits created before any send
+// has no mailbox yet.
 func (g *GNI) connect(c *smsgConn, src, dst int) {
-	if r := g.conns[connKey(dst, src)]; r == nil || !r.mailbox {
+	if r := g.eps[dst].find(src); r == nil || !r.mailbox {
 		g.mbxBytes += 2 * int64(g.Net.P.SMSGMailboxBytes())
 	}
 	c.mailbox = true
@@ -170,23 +176,126 @@ type smsgConn struct {
 	mailbox  bool
 }
 
-// connKey is the ordered-pair map key (src and dst are job-local PE ranks,
-// always < 2^32).
-func connKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+// epTable is one PE's SMSG endpoints, the model of the endpoints the
+// machine layer binds once per peer (GNI_EpCreate/GNI_EpBind): an
+// open-addressed table keyed by peer rank with linear probing. Its size
+// is a power of two that doubles before the load passes 3/4, so a PE's
+// few dozen peers share a few cache lines instead of a job-wide map.
+type epTable struct {
+	slots []epSlot
+	n     int32 // occupied slots
+	shift uint8 // 32 - log2(len(slots)): epHash keeps the top bits
+}
+
+// epSlot binds one peer rank to its connection record; c == nil marks an
+// empty slot.
+type epSlot struct {
+	c    *smsgConn
+	peer int32
+}
+
+const (
+	epMinSlots  = 8    // a table's first size
+	epSlabFirst = 16   // the first record chunk
+	epSlabMax   = 1024 // record chunks double up to this size
+)
+
+// epHash spreads peer ranks over the table (Fibonacci hashing), so
+// strided peer sets do not pile up in one run of slots.
+func epHash(peer int32, shift uint8) uint32 { return uint32(peer) * 0x9E3779B9 >> shift }
+
+// find returns the record for peer, or nil if the PE never connected to
+// it.
+func (t *epTable) find(peer int) *smsgConn {
+	if t.n == 0 {
+		return nil
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := epHash(int32(peer), t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.c == nil || s.peer == int32(peer) {
+			return s.c
+		}
+	}
+}
+
+// insert binds peer to c in a table with a free slot.
+func (t *epTable) insert(peer int32, c *smsgConn) {
+	mask := uint32(len(t.slots) - 1)
+	i := epHash(peer, t.shift)
+	for t.slots[i].c != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = epSlot{c: c, peer: peer}
+	t.n++
+}
+
+// grow doubles the table (or gives an empty one its first slots) and
+// rehashes every binding; the records themselves do not move.
+func (t *epTable) grow() {
+	size := epMinSlots
+	if len(t.slots) > 0 {
+		size = 2 * len(t.slots)
+	}
+	old := t.slots
+	t.slots = epAlloc[epSlot](size)
+	t.n = 0
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.c != nil {
+			t.insert(s.peer, s.c)
+		}
+	}
+}
+
+// epAlloc is the endpoint tables' one allocation site: the per-PE table
+// array (once per job), a table's slots when it doubles, and a record
+// chunk when the last one fills. Each runs on connection establishment
+// only, never for a message on an established pair.
+func epAlloc[T any](n int) []T {
+	//simlint:allow hotpathalloc -- connection establishment: per-PE endpoint tables, doubling slot arrays and record chunks, amortized over a pair's first send
+	return make([]T, n)
+}
+
+// window is the configured credit window of a fresh or restored
+// connection: SMSGCreditSlots, or unbounded when credits are disabled by
+// configuration (SMSGCreditSlots <= 0).
+func (g *GNI) window() int32 {
+	if w := g.Net.P.SMSGCreditSlots; w > 0 {
+		return int32(w)
+	}
+	return 1 << 30
+}
 
 // conn returns (creating on first use) the credit window for src→dst.
 func (g *GNI) conn(src, dst int) *smsgConn {
-	c := g.conns[connKey(src, dst)]
-	if c == nil {
-		limit := int32(g.Net.P.SMSGCreditSlots)
-		if limit <= 0 {
-			limit = 1 << 30 // unbounded: credits disabled by configuration
+	if src < len(g.eps) {
+		if c := g.eps[src].find(dst); c != nil {
+			return c
 		}
-		//simlint:allow hotpathalloc -- connection establishment: first message on an ordered PE pair only
-		c = &smsgConn{limit: limit}
-		//simlint:allow hotpathalloc -- connection establishment: window stored once per ordered PE pair
-		g.conns[connKey(src, dst)] = c
 	}
+	return g.newConn(src, dst)
+}
+
+// newConn establishes src's endpoint for dst: a record carved from the
+// current chunk, bound in src's table. Records are created in first-use
+// order, the same order every run.
+func (g *GNI) newConn(src, dst int) *smsgConn {
+	if g.eps == nil {
+		g.eps = epAlloc[epTable](g.Net.NumPEs())
+	}
+	if len(g.slab) == cap(g.slab) {
+		size := min(max(2*cap(g.slab), epSlabFirst), epSlabMax)
+		g.slab = epAlloc[smsgConn](size)[:0]
+	}
+	g.slab = g.slab[:len(g.slab)+1]
+	c := &g.slab[len(g.slab)-1]
+	c.limit = g.window()
+	t := &g.eps[src]
+	if 4*(int(t.n)+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	t.insert(int32(dst), c)
 	return c
 }
 
@@ -296,7 +405,7 @@ func (g *GNI) SqueezeCredits(src, dst, limit int, from, until sim.Time) {
 	})
 	g.Net.Eng.At(until, func() {
 		c := g.conn(src, dst)
-		c.limit = int32(g.Net.P.SMSGCreditSlots)
+		c.limit = g.window()
 		if c.starved && c.inflight < c.limit {
 			c.starved = false
 			g.notifyCreditReturn(src, dst, until)

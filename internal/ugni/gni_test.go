@@ -234,7 +234,7 @@ func TestMailboxMemoryGrowsPerConnection(t *testing.T) {
 					from := eng.Now() + 1
 					g.SqueezeCredits(s.src, s.dst, 0, from, from+1)
 					eng.Run()
-					if g.conns[connKey(s.src, s.dst)] == nil {
+					if len(g.eps) <= s.src || g.eps[s.src].find(s.dst) == nil {
 						t.Fatalf("step %d: squeeze created no record for %d→%d", i, s.src, s.dst)
 					}
 				} else if _, rc, err := g.SmsgSendWTag(s.src, s.dst, 0, 8, nil, eng.Now(), nil); err != nil || rc != RCSuccess {
@@ -252,6 +252,54 @@ func TestMailboxMemoryGrowsPerConnection(t *testing.T) {
 	g, _ := newGNI(4)
 	if int64(g.Net.P.SMSGMailboxBytes()) != int64(g.Net.P.SMSGCreditSlots*g.Net.P.SMSGSlotBytes) {
 		t.Fatal("SMSGMailboxBytes() disagrees with slots x slot size")
+	}
+}
+
+// TestSmsgEndpointFanOut sends from one PE to 40 peers on three nodes,
+// past its endpoint table's first growths, twice over: each peer keeps
+// one record through every growth, the resends connect nothing new, and
+// once the engine drains every credit consumed has come back.
+func TestSmsgEndpointFanOut(t *testing.T) {
+	g, eng := newGNI(4)
+	rx := g.CqCreate("rx")
+	rx.OnEvent = func(Event) {}
+	const src, fan = 0, 40
+	peers := make([]int, fan)
+	for i := range peers {
+		peers[i] = 1 + 2*i // odd ranks 1..79: node 0 and all three others
+		g.AttachSmsgCQ(peers[i], rx)
+	}
+	recs := make(map[int]*smsgConn)
+	for round := 0; round < 2; round++ {
+		for _, dst := range peers {
+			if _, rc, err := g.SmsgSendWTag(src, dst, 0, 8, nil, eng.Now(), nil); err != nil || rc != RCSuccess {
+				t.Fatalf("round %d: send %d→%d: rc %v, err %v", round, src, dst, rc, err)
+			}
+			c := g.eps[src].find(dst)
+			if c == nil {
+				t.Fatalf("round %d: no endpoint for %d→%d after a send", round, src, dst)
+			}
+			if prev, ok := recs[dst]; ok && prev != c {
+				t.Fatalf("round %d: %d→%d record moved", round, src, dst)
+			}
+			recs[dst] = c
+		}
+		for dst, c := range recs {
+			if g.eps[src].find(dst) != c {
+				t.Fatalf("round %d: %d→%d record lost after growth", round, src, dst)
+			}
+		}
+	}
+	if got := int(g.eps[src].n); got != fan {
+		t.Fatalf("endpoint table holds %d peers, want %d", got, fan)
+	}
+	if got, want := g.MailboxBytes(), fan*2*int64(g.Net.P.SMSGMailboxBytes()); got != want {
+		t.Fatalf("MailboxBytes = %d, want %d (one pair per peer)", got, want)
+	}
+	eng.Run()
+	if g.CreditsConsumed() != 2*fan || g.CreditsConsumed() != g.CreditReturns() || g.CreditsInFlight() != 0 {
+		t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d",
+			g.CreditsConsumed(), g.CreditReturns(), g.CreditsInFlight())
 	}
 }
 

@@ -1,16 +1,23 @@
 package ugni
 
 import (
+	"fmt"
 	"testing"
 
 	"charmgo/internal/gemini"
 	"charmgo/internal/sim"
 )
 
+// smsgPairCounts are the established-pair populations the SMSG
+// microbenchmark runs at on a 160-node network (3840 PEs). 4,096 pairs
+// fit in cache; 220,000 is the namd uGNI machine's population (about 57
+// peers per PE), where finding a pair's endpoint misses cache.
+var smsgPairCounts = []int{4096, 220000}
+
 // smsgTraffic sends steady-state SMSG messages over a fixed set of already
-// established PE pairs on a 160-node network (3840 PEs). Every PE's receive
-// CQ is hooked, so each delivery returns its credit: immediately on the
-// one pair in four that is intra-node, through a creditFlight back to the
+// established PE pairs on a 160-node network. Every PE's receive CQ is
+// hooked, so each delivery returns its credit: immediately on the one
+// pair in four that is intra-node, through a creditFlight back to the
 // sender's node on the others. One op is one message's whole uGNI path:
 // the send, its transfer, the CQ delivery and the credit return.
 type smsgTraffic struct {
@@ -20,7 +27,7 @@ type smsgTraffic struct {
 	i     int
 }
 
-func newSmsgTraffic() *smsgTraffic {
+func newSmsgTraffic(npairs int) *smsgTraffic {
 	eng := sim.NewEngine()
 	net := gemini.NewNetwork(eng, 160, gemini.DefaultParams())
 	s := &smsgTraffic{g: New(net), eng: eng}
@@ -30,7 +37,7 @@ func newSmsgTraffic() *smsgTraffic {
 		cq.OnEventIdx = func(int, Event) {}
 		s.g.AttachSmsgCQ(pe, cq)
 	}
-	for i := range 4096 {
+	for i := range npairs {
 		h := sim.Mix(uint64(i))
 		src := int(h % uint64(npes))
 		var dst int
@@ -62,34 +69,43 @@ func (s *smsgTraffic) send() {
 }
 
 // BenchmarkSmsgSendWTag measures one steady-state SMSG message over
-// established pairs, credit return included (see smsgTraffic).
+// established pairs, credit return included (see smsgTraffic), at each
+// pair population.
 func BenchmarkSmsgSendWTag(b *testing.B) {
-	s := newSmsgTraffic()
-	b.ReportAllocs()
-	for b.Loop() {
-		s.send()
+	for _, n := range smsgPairCounts {
+		b.Run(fmt.Sprintf("pairs=%d", n), func(b *testing.B) {
+			s := newSmsgTraffic(n)
+			b.ReportAllocs()
+			for b.Loop() {
+				s.send()
+			}
+		})
 	}
 }
 
-// TestSmsgSendAllocFree pins the benchmark's steady state: a message on an
-// established pair allocates nothing, and every credit it consumed is back
-// once the engine drains.
+// TestSmsgSendAllocFree pins the benchmark's steady state at each pair
+// population: a message on an established pair allocates nothing, and
+// every credit it consumed is back once the engine drains.
 func TestSmsgSendAllocFree(t *testing.T) {
-	s := newSmsgTraffic()
-	if a := testing.AllocsPerRun(10000, s.send); a != 0 {
-		t.Fatalf("steady-state SMSG send allocates %v per op, want 0", a)
-	}
-	intra := 0
-	for _, p := range s.pairs {
-		if s.g.Net.SameNode(p[0], p[1]) {
-			intra++
-		}
-	}
-	if intra == 0 || intra == len(s.pairs) {
-		t.Fatalf("%d of %d pairs intra-node: want both credit-return paths", intra, len(s.pairs))
-	}
-	if s.g.CreditsInFlight() != 0 || s.g.CreditsConsumed() != s.g.CreditReturns() {
-		t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d",
-			s.g.CreditsConsumed(), s.g.CreditReturns(), s.g.CreditsInFlight())
+	for _, n := range smsgPairCounts {
+		t.Run(fmt.Sprintf("pairs=%d", n), func(t *testing.T) {
+			s := newSmsgTraffic(n)
+			if a := testing.AllocsPerRun(10000, s.send); a != 0 {
+				t.Fatalf("steady-state SMSG send allocates %v per op, want 0", a)
+			}
+			intra := 0
+			for _, p := range s.pairs {
+				if s.g.Net.SameNode(p[0], p[1]) {
+					intra++
+				}
+			}
+			if intra == 0 || intra == len(s.pairs) {
+				t.Fatalf("%d of %d pairs intra-node: want both credit-return paths", intra, len(s.pairs))
+			}
+			if s.g.CreditsInFlight() != 0 || s.g.CreditsConsumed() != s.g.CreditReturns() {
+				t.Fatalf("credits after drain: consumed %d, returned %d, in flight %d",
+					s.g.CreditsConsumed(), s.g.CreditReturns(), s.g.CreditsInFlight())
+			}
+		})
 	}
 }
