@@ -82,8 +82,10 @@ bench-smoke:
 # Ten seconds each of coverage-guided fuzzing of GapResource against its
 # linear reference under a forward-only clock, of the event kernel's
 # firing order against a sort-by-key reference, of the SMSG endpoint
-# tables against a pair-keyed map, and of topology.Table against the
-# Torus it precomputes. `go test` runs only the checked-in corpora
+# tables against a pair-keyed map, of topology.Table against the Torus it
+# precomputes, of the queens subtree-skew kernel against math.Pow (bit
+# for bit), and of fault.Shrink's idempotence under fuzzed schedules and
+# failure witnesses. `go test` runs only the checked-in corpora
 # (<package>/testdata/fuzz/<target>); a failing input found here is
 # written there and becomes a regression case. -fuzz takes one target per
 # invocation.
@@ -92,6 +94,8 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzEngineOrder -fuzztime 10s ./internal/sim/
 	$(GO) test -run - -fuzz FuzzSmsgEndpoints -fuzztime 10s ./internal/ugni/
 	$(GO) test -run - -fuzz FuzzTopologyTable -fuzztime 10s ./internal/topology/
+	$(GO) test -run - -fuzz FuzzSubtreeSkew -fuzztime 10s ./internal/ssse/
+	$(GO) test -run - -fuzz FuzzShrinkIdempotent -fuzztime 10s ./internal/fault/
 
 # CPU and allocation profiles of the end-to-end fig9a benchmark, written
 # to /tmp. Inspect with `go tool pprof -top /tmp/charmgo_cpu.prof` (or

@@ -17,11 +17,13 @@ import (
 // and every mutant must fail `make lint` (exit 1) with a finding from
 // the expected analyzer.
 //
-// The first row drops one atomic on the live-descriptor counter, the
-// mixed-discipline defect atomicshared exists for. The next three rows
-// seed ownership defects on the shipped machine layer: deleting a single
-// descriptor Put (PR 4's manual ablation, automated), reading a
-// descriptor after its Put, and deleting a slab release from
+// The first row makes FreeList.Get bump a list's outstanding count with
+// sync/atomic while Put keeps its plain decrement: the dropped-atomic,
+// mixed-discipline defect atomicshared exists for. The module itself has
+// no sync/atomic cell, so the row seeds both halves of the pair. The next
+// three rows seed ownership defects on the shipped machine layer:
+// deleting a single descriptor Put (PR 4's manual ablation, automated),
+// reading a descriptor after its Put, and deleting a slab release from
 // Layer.Close. The last three rows seed the protocol
 // defects the protoflow typestate family proves absent: severing the
 // credit drain from its EvCreditReturn dispatch, dropping the
@@ -47,10 +49,8 @@ func ablationRows() []ablationRow {
 			name: "dropped atomic on the live-descriptor counter",
 			file: "internal/mem/freelist.go",
 			edits: []edit{
-				{old: "var live atomic.Int64", new: "var live int64"},
-				{old: "live.Add(1)", new: "atomic.AddInt64(&live, 1)"},
-				{old: "live.Add(-1)", new: "live--"},
-				{old: "live.Load()", new: "live"},
+				{old: "package mem\n", new: "package mem\n\nimport \"sync/atomic\"\n"},
+				{old: "\tf.out++\n", new: "\tatomic.AddInt64(&f.out, 1)\n"},
 			},
 			analyzer: "atomicshared",
 		},

@@ -12,9 +12,10 @@ import (
 // AtomicShared enforces one access discipline per variable: a variable
 // or field whose address feeds a sync/atomic call at one site anywhere in
 // the module must never be read or written plainly at another, in
-// simulation scope (the regression class of the PR that introduced
-// mem.live: one dropped atomic silently breaks the pair). The check is
-// syntactic: it needs the module's atomic sites, not the points-to solve.
+// simulation scope (one dropped atomic silently breaks the pair). The
+// module has no sync/atomic cell, so the rule guards against one coming
+// back half-atomic. The check is syntactic: it needs the module's atomic
+// sites, not the points-to solve.
 var AtomicShared = &framework.Analyzer{
 	Name: "atomicshared",
 	Doc:  "a var or field accessed through sync/atomic anywhere must be accessed through sync/atomic everywhere",

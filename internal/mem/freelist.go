@@ -1,7 +1,5 @@
 package mem
 
-import "sync/atomic"
-
 // This file is the simulator-side analog of the paper's §V.B memory pool:
 // where internal/mem.Pool models the *simulated* runtime's registered-buffer
 // pool (charging virtual time), FreeList removes real malloc/free from the
@@ -12,18 +10,19 @@ import "sync/atomic"
 // (see DESIGN.md §2.2 "Allocation discipline").
 
 // live counts pooled descriptors currently acquired across every FreeList
-// in the process. It is the one process-global the otherwise goroutine-
-// confined free lists share. Simulation code runs one goroutine at a
-// time, so nothing updates it concurrently; it stays atomic until
-// ROADMAP.md's hot-path part (1) retires the counter. Each FreeList itself is
-// single-owner. The leak test asserts this returns to its pre-run value
-// after every experiment drains.
-var live atomic.Int64
+// in the process. It is the one process-global the otherwise single-owner
+// free lists share, and a plain counter like their own: simulation code
+// runs on one goroutine at a time (the AMPI rank handoff passes the PE
+// through channels, which order its writes), so nothing updates it
+// concurrently, and the race-detector runs would flag a run that did. The
+// leak tests assert it returns to its pre-run value after every
+// experiment drains.
+var live int64
 
 // LiveDescriptors reports how many pooled descriptors are currently
 // acquired and not yet released, process-wide. A fully drained simulation
 // must bring this back to its value before the run started.
-func LiveDescriptors() int64 { return live.Load() }
+func LiveDescriptors() int64 { return live }
 
 // FreeList is a typed free list for the simulator's own descriptor
 // structs. The zero value is ready to use. Get returns a zeroed *T
@@ -57,7 +56,7 @@ type FreeList[T any] struct {
 // return, send).
 func (f *FreeList[T]) Get() *T {
 	f.out++
-	live.Add(1)
+	live++
 	if n := len(f.free); n > 0 {
 		x := f.free[n-1]
 		f.free[n-1] = nil
@@ -77,7 +76,7 @@ func (f *FreeList[T]) Put(x *T) {
 	var zero T
 	*x = zero
 	f.out--
-	live.Add(-1)
+	live--
 	f.free = append(f.free, x)
 }
 

@@ -127,13 +127,28 @@ type state struct {
 }
 
 // chunk is a task message: one or more sibling states. Chunks come from
-// the solver's free list with a states backing of capacity ChunkSize,
-// and the task that receives one releases it at the end of onTask, once
-// every state has been expanded or solved. Nothing replays a processed
-// chunk: converse.Checkpoint refuses to run with messages queued, so a
-// restored machine never redelivers one.
+// the solver's free list, and the task that receives one releases it at
+// the end of onTask. Nothing replays a processed chunk:
+// converse.Checkpoint refuses to run with messages queued, so a restored
+// machine never redelivers one.
+//
+// Siblings share a row, so a chunk is of one of two kinds. Above the
+// threshold depth it carries its states, in a backing of capacity
+// ChunkSize, for the receiver to expand. At the threshold it carries only
+// leaves: the sender solves (or draws) each subtree as it bundles the
+// state, and the receiver charges the sum. Compute only adds, so the
+// virtual time is the same as solving state by state at the receiver,
+// and the run's frontier, most of which is queued at once, costs one
+// record per message rather than 16 bytes per state.
 type chunk struct {
 	states []state
+	leaves subtrees
+}
+
+// subtrees sums the solved subtrees under n threshold-depth states.
+type subtrees struct {
+	n                int
+	solutions, nodes uint64
 }
 
 // solver is the per-run state shared across PEs of the DES.
@@ -194,21 +209,25 @@ func (s *solver) run(m *converse.Machine, cfg Config) Result {
 // mask returns the n low bits set.
 func mask(n int) uint64 { return (1 << uint(n)) - 1 }
 
-// onTask is the task entry: each state in the chunk is expanded (above the
-// threshold) or solved sequentially (at the threshold). Children are
-// bundled into chunks of up to ChunkSize and sent to random PEs.
+// onTask is the task entry: a chunk of threshold-depth states charges
+// its solved subtrees; any other chunk's states are expanded one row.
+// Children are bundled into chunks of up to ChunkSize and sent to random
+// PEs.
 func (s *solver) onTask(ctx *converse.Ctx, msg *lrts.Message) {
 	ch := msg.Data.(*chunk)
 	s.tasks++
 	cfg := s.cfg
+	if lv := ch.leaves; lv.n > 0 {
+		s.solutions += lv.solutions
+		s.nodes += lv.nodes
+		ctx.Compute(sim.Time(lv.nodes) * cfg.PerNodeCost)
+		s.chunks.Put(ch)
+		return
+	}
 	full := mask(cfg.N)
 	var buf []state
+	var leaves subtrees
 	for _, st := range ch.states {
-		if int(st.row) >= cfg.Threshold {
-			s.solveSubtree(ctx, st)
-			continue
-		}
-		// Expand one row; valid placements become (bundled) child tasks.
 		s.nodes++
 		ctx.Compute(cfg.PerNodeCost)
 		cols, d1, d2 := uint64(st.cols), uint64(st.d1), uint64(st.d2)
@@ -216,20 +235,35 @@ func (s *solver) onTask(ctx *converse.Ctx, msg *lrts.Message) {
 		for avail != 0 {
 			bit := avail & (-avail)
 			avail ^= bit
-			if buf == nil {
-				buf = s.backing()
-			}
-			buf = append(buf, state{
+			child := state{
 				cols: uint32(cols | bit),
 				d1:   uint32(((d1 | bit) << 1) & full),
 				d2:   uint32((d2 | bit) >> 1),
 				row:  st.row + 1,
-			})
+			}
+			if int(child.row) >= cfg.Threshold {
+				sol, nodes := s.solve(child)
+				leaves.n++
+				leaves.solutions += sol
+				leaves.nodes += nodes
+				if leaves.n == cfg.ChunkSize {
+					s.sendLeaves(ctx, leaves)
+					leaves = subtrees{}
+				}
+				continue
+			}
+			if buf == nil {
+				buf = s.backing()
+			}
+			buf = append(buf, child)
 			if len(buf) == cfg.ChunkSize {
 				s.send(ctx, buf)
 				buf = nil
 			}
 		}
+	}
+	if leaves.n > 0 {
+		s.sendLeaves(ctx, leaves)
 	}
 	if buf != nil {
 		s.send(ctx, buf)
@@ -257,19 +291,23 @@ func (s *solver) send(ctx *converse.Ctx, states []state) {
 	ctx.Send(s.rngs[ctx.PE()].Intn(ctx.NumPEs()), s.handler, c, size)
 }
 
-// solveSubtree handles a state at the threshold depth.
-func (s *solver) solveSubtree(ctx *converse.Ctx, st state) {
-	cfg := s.cfg
-	if cfg.Synthetic {
-		nodes := s.syntheticNodes(st)
-		s.nodes += nodes
-		ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
-		return
+// sendLeaves sends a pooled chunk standing for leaves.n threshold-depth
+// states, at the wire size of those states, to a random PE.
+func (s *solver) sendLeaves(ctx *converse.Ctx, leaves subtrees) {
+	c := s.chunks.Get()
+	c.leaves = leaves
+	size := s.cfg.TaskMsgSize + (leaves.n-1)*StateBytes
+	ctx.Send(s.rngs[ctx.PE()].Intn(ctx.NumPEs()), s.handler, c, size)
+}
+
+// solve returns the solution count and search-tree nodes of the subtree
+// under a threshold-depth state: drawn in synthetic mode, counted by the
+// sequential solver otherwise.
+func (s *solver) solve(st state) (solutions, nodes uint64) {
+	if s.cfg.Synthetic {
+		return 0, s.syntheticNodes(st)
 	}
-	sol, nodes := count(uint64(st.cols), uint64(st.d1), uint64(st.d2), int(st.row), cfg.N)
-	s.solutions += sol
-	s.nodes += nodes
-	ctx.Compute(sim.Time(nodes) * cfg.PerNodeCost)
+	return count(uint64(st.cols), uint64(st.d1), uint64(st.d2), int(st.row), s.cfg.N)
 }
 
 // syntheticNodes draws a deterministic subtree size with mean
@@ -279,8 +317,7 @@ func (s *solver) solveSubtree(ctx *converse.Ctx, st state) {
 // paper's Figure 12.
 func (s *solver) syntheticNodes(st state) uint64 {
 	h := sim.Mix(uint64(st.cols)*0x1f3 ^ uint64(st.d1)*0x9e5 ^ uint64(st.d2)*0x2d7 ^ uint64(st.row))
-	u := float64(h>>11) / (1 << 53)
-	skew := 0.3 * math.Pow(1-u, -0.7)
+	skew := 0.3 * powNeg07(1-unitDraw(h))
 	if skew > 1000 {
 		skew = 1000
 	}
@@ -290,6 +327,23 @@ func (s *solver) syntheticNodes(st state) uint64 {
 	}
 	return uint64(math.Round(n))
 }
+
+// unitDraw maps a hash to u in [0, 1) on its top 53 bits, so 1-u lies in
+// [2^-53, 1].
+func unitDraw(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// skewFrac is float64(0.7) - 1 in run-time float64 arithmetic, the
+// fractional exponent math.Pow moves to for y = -0.7. The constant
+// expression 0.7 - 1 folds exactly to -0.3, one ulp away.
+const skewFrac = -0.30000000000000004
+
+// powNeg07 returns x^-0.7 for x in [2^-53, 1], bit for bit what
+// math.Pow(x, -0.7) returns there, at about half its cost: it is the
+// sequence Pow runs for that y (Modf, yf-- since yf > 0.5, Exp∘Log, one
+// multiply by x's mantissa, a reciprocal and Ldexp), minus the special
+// cases and with the Frexp/Ldexp pair folded into one multiply by x,
+// which is exact because every product stays a normal float.
+func powNeg07(x float64) float64 { return 1 / (math.Exp(skewFrac*math.Log(x)) * x) }
 
 // count is the sequential bitmask backtracking solver: it returns the
 // number of complete placements and the number of tree nodes visited.

@@ -41,8 +41,9 @@ func TestStateIs16Bytes(t *testing.T) {
 
 func TestSecondRunReusesBackings(t *testing.T) {
 	// Every backing the pool ever built is spare once a run drains, so
-	// len(spare) after the first run is that run's peak of live chunks,
-	// and its growth over the second run counts the second run's misses.
+	// len(spare) after the first run is that run's peak of live chunks
+	// that carry states, and its growth over the second run counts the
+	// second run's misses.
 	s := new(solver)
 	runOn(t, s, charmgo.LayerUGNI, chunkedQueens)
 	peak := len(s.spare)

@@ -484,13 +484,13 @@ func (g *GNI) SmsgSendWTag(src, dst int, tag uint8, size int, payload any, at si
 	if size > g.smsgMax {
 		return 0, RCErrorResource, fmt.Errorf("%w: %d > %d", ErrSmsgTooBig, size, g.smsgMax)
 	}
-	c := g.conn(src, dst)
-	if !c.mailbox {
-		g.connect(c, src, dst)
-	}
 	rx := g.rxCQ[dst]
 	if rx == nil {
 		return 0, RCErrorResource, fmt.Errorf("ugni: PE %d has no attached SMSG receive CQ", dst)
+	}
+	c := g.conn(src, dst)
+	if !c.mailbox {
+		g.connect(c, src, dst)
 	}
 	if c.inflight >= c.limit {
 		c.starved = true

@@ -57,8 +57,16 @@ func TestSmsgRejectsOversize(t *testing.T) {
 
 func TestSmsgRequiresAttachedCQ(t *testing.T) {
 	g, _ := newGNI(4)
-	if _, _, err := g.SmsgSendWTag(0, 24, 0, 8, nil, 0, nil); err == nil {
-		t.Fatal("send to PE without rx CQ succeeded")
+	_, rc, err := g.SmsgSendWTag(0, 24, 0, 8, nil, 0, nil)
+	if err == nil || rc != RCErrorResource {
+		t.Fatalf("send to PE without rx CQ returned rc=%v err=%v, want RC_ERROR_RESOURCE", rc, err)
+	}
+	// A refused send must not bind an endpoint or account a mailbox.
+	if b := g.MailboxBytes(); b != 0 {
+		t.Fatalf("refused send accounted %d mailbox bytes, want 0", b)
+	}
+	if g.eps != nil && g.eps[0].find(24) != nil {
+		t.Fatal("refused send bound an endpoint 0->24")
 	}
 }
 
