@@ -155,6 +155,7 @@ func firePump(arg any) {
 	q := l.queues[pe]
 	env := q[0]
 	copy(q, q[1:])
+	q[len(q)-1] = nil // the moved-from slot would keep the envelope reachable
 	l.queues[pe] = q[:len(q)-1]
 	l.receiveOne(pe, env, now)
 	l.pump(pe)

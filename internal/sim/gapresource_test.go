@@ -73,7 +73,8 @@ type gapShape struct {
 // runGapStream drives a GapResource and the linear reference with ops and
 // fails on the first divergence. Before every booking it checks Peek
 // against the Acquire that follows; after it, FreeAt and Intervals
-// against the reference's live intervals.
+// against the reference's live intervals, and the layout invariants
+// (checkGapLayout).
 func runGapStream(t testing.TB, ops []gapOp) gapShape {
 	t.Helper()
 	var now Time
@@ -101,6 +102,7 @@ func runGapStream(t testing.TB, ops []gapOp) gapShape {
 		if want := ref.live(now); n != want {
 			t.Fatalf("op %d: Intervals = %d, reference holds %d live", i, n, want)
 		}
+		checkGapLayout(t, i, r)
 		if e < prev {
 			sh.fills++
 		}
@@ -112,6 +114,29 @@ func runGapStream(t testing.TB, ops []gapOp) gapShape {
 		sh.medianLive, sh.peakLive = live[len(live)/2], live[len(live)-1]
 	}
 	return sh
+}
+
+// checkGapLayout fails unless r's intervals, iv[:lo] then iv[hi:], are
+// disjoint, non-adjacent and in start order, and the header's last end is
+// the last interval's (minTime when none).
+func checkGapLayout(t testing.TB, op int, r *GapResource) {
+	t.Helper()
+	if r.lo < 0 || r.lo > r.hi || int(r.hi) > len(r.iv) {
+		t.Fatalf("op %d: hole [%d, %d) in %d slots", op, r.lo, r.hi, len(r.iv))
+	}
+	held := append(slices.Clip(r.iv[:r.lo]), r.iv[r.hi:]...)
+	for j, sp := range held {
+		if sp.e <= sp.s || j > 0 && sp.s <= held[j-1].e {
+			t.Fatalf("op %d: interval %d [%v, %v) after [%v, %v)", op, j, sp.s, sp.e, held[max(j-1, 0)].s, held[max(j-1, 0)].e)
+		}
+	}
+	last := minTime
+	if len(held) > 0 {
+		last = held[len(held)-1].e
+	}
+	if r.last != last {
+		t.Fatalf("op %d: header holds last end %v, the intervals %v", op, r.last, last)
+	}
 }
 
 // uniformGapStream is random bookings up to 2000 past the clock, with the

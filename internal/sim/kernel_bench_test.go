@@ -123,7 +123,12 @@ func TestEngineQueueNamdAllocFree(t *testing.T) {
 //     sweeps past and pruning reclaims it;
 //   - fill: the measured torus-link population of the Fig 13 and
 //     17-Queens runs, about 250 live intervals with most bookings filling
-//     an internal gap (see linkFill).
+//     an internal gap (see linkFill). Its ready times are uniform, so
+//     consecutive bookings land far apart, which real link streams do
+//     not (see GapResource);
+//   - links: fill on every link of the 160-node Fig 13 machine at once,
+//     booked in hashed order, so the intervals a booking touches are
+//     mostly not in cache, as on a real run (see linkFills).
 func BenchmarkGapResourceAcquire(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		var now Time
@@ -157,6 +162,13 @@ func BenchmarkGapResourceAcquire(b *testing.B) {
 			f.book()
 		}
 	})
+	b.Run("links", func(b *testing.B) {
+		l := newLinkFills()
+		b.ReportAllocs()
+		for b.Loop() {
+			l.book()
+		}
+	})
 }
 
 // linkFill books like a loaded torus link: each booking is ready up to
@@ -185,8 +197,34 @@ func (f *linkFill) book() {
 	f.now += 20
 }
 
-// TestGapResourceFillAllocFree pins the fill benchmark's steady state: a
-// warmed-up link books without allocating.
+// machineLinks is the directional torus link count of the 160-node
+// machine of the Fig 13 and 17-Queens runs: six per node.
+const machineLinks = 160 * 6
+
+// linkFills is one linkFill per link of the 160-node machine, booked in
+// hashed order. Their intervals (about 4 KB per link, 4 MB in all)
+// exceed L2, so a booking pays for the cache lines it touches.
+type linkFills struct {
+	links []*linkFill
+	i     uint64
+}
+
+func newLinkFills() *linkFills {
+	l := &linkFills{links: make([]*linkFill, machineLinks)}
+	for j := range l.links {
+		l.links[j] = newLinkFill()
+	}
+	return l
+}
+
+func (l *linkFills) book() {
+	l.links[Mix(l.i)%machineLinks].book()
+	l.i++
+}
+
+// TestGapResourceFillAllocFree pins the fill and links benchmarks' steady
+// state: warmed-up links book without allocating, while their bookings
+// move the hole, use it up and lay the array out again.
 func TestGapResourceFillAllocFree(t *testing.T) {
 	f := newLinkFill()
 	if a := testing.AllocsPerRun(10000, f.book); a != 0 {
@@ -194,5 +232,9 @@ func TestGapResourceFillAllocFree(t *testing.T) {
 	}
 	if n := f.r.Intervals(); n < 150 || n > 400 {
 		t.Fatalf("fill holds %d live intervals, want about 250", n)
+	}
+	l := newLinkFills()
+	if a := testing.AllocsPerRun(100000, l.book); a != 0 {
+		t.Fatalf("links booking allocates %v per op, want 0", a)
 	}
 }

@@ -81,6 +81,9 @@ type QueueStats struct {
 // maxTime is later than any event time.
 const maxTime = Time(math.MaxInt64)
 
+// minTime is the earliest representable virtual time.
+const minTime = Time(math.MinInt64)
+
 // queue is the engine's event queue. The zero value is empty.
 type queue struct {
 	few    [fewLen]entry // the queue's entries in order, while the lanes are empty

@@ -160,6 +160,7 @@ func (cq *CQ) GetEvent() (ev Event, ok bool) {
 	}
 	ev = cq.q[0]
 	copy(cq.q, cq.q[1:])
+	cq.q[len(cq.q)-1] = Event{} // drop the stale copy's Payload, Desc and credit
 	cq.q = cq.q[:len(cq.q)-1]
 	if ev.credit != nil {
 		cq.g.smsgConsumed(ev.credit, ev.Src, ev.Dst, cq.eng.Now())

@@ -134,19 +134,19 @@ func (r *endpointRef) check(t *testing.T, g *GNI) {
 		if len(tb.slots)&(len(tb.slots)-1) != 0 || 4*int(tb.n) > 3*len(tb.slots) {
 			t.Fatalf("PE %d table: %d peers in %d slots", src, tb.n, len(tb.slots))
 		}
-		for _, s := range tb.slots {
-			if s.c == nil {
+		for _, c := range tb.slots {
+			if c == nil {
 				continue
 			}
 			live++
-			key := [2]int{src, int(s.peer)}
-			if prev, ok := r.recs[key]; ok && prev != s.c {
-				t.Fatalf("%d→%d: record moved", src, s.peer)
+			key := [2]int{src, int(c.peer)}
+			if prev, ok := r.recs[key]; ok && prev != c {
+				t.Fatalf("%d→%d: record moved", src, c.peer)
 			} else if !ok {
-				r.recs[key] = s.c
+				r.recs[key] = c
 			}
-			if tb.find(int(s.peer)) != s.c {
-				t.Fatalf("%d→%d: bound but not found", src, s.peer)
+			if tb.find(int(c.peer)) != c {
+				t.Fatalf("%d→%d: bound but not found", src, c.peer)
 			}
 		}
 	}

@@ -164,12 +164,14 @@ func (g *GNI) connect(c *smsgConn, src, dst int) {
 	c.mailbox = true
 }
 
-// smsgConn is one ordered (src→dst) connection: inflight counts slots
-// occupied in dst's mailbox, limit is the current window size (narrowed by
+// smsgConn is one ordered (src→dst) connection: peer is dst, the key its
+// endpoint-table slot is found by, inflight counts slots occupied in
+// dst's mailbox, limit is the current window size (narrowed by
 // SqueezeCredits), starved marks a sender waiting for an EvCreditReturn
 // notification, and mailbox marks the pair's mailbox as accounted (set by
 // the first send in this direction, see connect).
 type smsgConn struct {
+	peer     int32
 	limit    int32
 	inflight int32 //simlint:proto credit window
 	starved  bool
@@ -180,18 +182,14 @@ type smsgConn struct {
 // machine layer binds once per peer (GNI_EpCreate/GNI_EpBind): an
 // open-addressed table keyed by peer rank with linear probing. Its size
 // is a power of two that doubles before the load passes 3/4, so a PE's
-// few dozen peers share a few cache lines instead of a job-wide map.
+// few dozen peers share a few cache lines instead of a job-wide map. A
+// slot is the record's address alone (nil when empty); the record holds
+// the peer rank it is keyed by, so a slot is 8 bytes and a cache line
+// holds eight.
 type epTable struct {
-	slots []epSlot
+	slots []*smsgConn
 	n     int32 // occupied slots
 	shift uint8 // 32 - log2(len(slots)): epHash keeps the top bits
-}
-
-// epSlot binds one peer rank to its connection record; c == nil marks an
-// empty slot.
-type epSlot struct {
-	c    *smsgConn
-	peer int32
 }
 
 const (
@@ -212,21 +210,20 @@ func (t *epTable) find(peer int) *smsgConn {
 	}
 	mask := uint32(len(t.slots) - 1)
 	for i := epHash(int32(peer), t.shift); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.c == nil || s.peer == int32(peer) {
-			return s.c
+		if c := t.slots[i]; c == nil || c.peer == int32(peer) {
+			return c
 		}
 	}
 }
 
-// insert binds peer to c in a table with a free slot.
-func (t *epTable) insert(peer int32, c *smsgConn) {
+// insert binds c, keyed by its peer, in a table with a free slot.
+func (t *epTable) insert(c *smsgConn) {
 	mask := uint32(len(t.slots) - 1)
-	i := epHash(peer, t.shift)
-	for t.slots[i].c != nil {
+	i := epHash(c.peer, t.shift)
+	for t.slots[i] != nil {
 		i = (i + 1) & mask
 	}
-	t.slots[i] = epSlot{c: c, peer: peer}
+	t.slots[i] = c
 	t.n++
 }
 
@@ -238,12 +235,12 @@ func (t *epTable) grow() {
 		size = 2 * len(t.slots)
 	}
 	old := t.slots
-	t.slots = epAlloc[epSlot](size)
+	t.slots = epAlloc[*smsgConn](size)
 	t.n = 0
 	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-	for _, s := range old {
-		if s.c != nil {
-			t.insert(s.peer, s.c)
+	for _, c := range old {
+		if c != nil {
+			t.insert(c)
 		}
 	}
 }
@@ -290,12 +287,12 @@ func (g *GNI) newConn(src, dst int) *smsgConn {
 	}
 	g.slab = g.slab[:len(g.slab)+1]
 	c := &g.slab[len(g.slab)-1]
-	c.limit = g.window()
+	c.peer, c.limit = int32(dst), g.window()
 	t := &g.eps[src]
 	if 4*(int(t.n)+1) > 3*len(t.slots) {
 		t.grow()
 	}
-	t.insert(int32(dst), c)
+	t.insert(c)
 	return c
 }
 

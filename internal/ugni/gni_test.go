@@ -45,6 +45,35 @@ func TestSmsgDelivery(t *testing.T) {
 	}
 }
 
+// TestGetEventClearsDrainedSlots drains a polled CQ and requires every
+// slot of its backing array to be zero afterwards: a stale copy of a
+// popped Event would keep its Payload, Desc and credit reachable.
+func TestGetEventClearsDrainedSlots(t *testing.T) {
+	g, eng := newGNI(4)
+	rx := g.CqCreate("rx")
+	dst := 24
+	g.AttachSmsgCQ(dst, rx)
+	for i := range 3 {
+		if _, rc, err := g.SmsgSendWTag(0, dst, 1, 64, &i, 0, nil); err != nil || rc != RCSuccess {
+			t.Fatalf("send %d: rc %v, err %v", i, rc, err)
+		}
+	}
+	eng.Run()
+	for n := 0; ; n++ {
+		if _, ok := rx.GetEvent(); !ok {
+			if n != 3 {
+				t.Fatalf("drained %d events, want 3", n)
+			}
+			break
+		}
+	}
+	for i, ev := range rx.q[:cap(rx.q)] {
+		if ev != (Event{}) {
+			t.Fatalf("slot %d of the drained queue still holds %+v", i, ev)
+		}
+	}
+}
+
 func TestSmsgRejectsOversize(t *testing.T) {
 	g, _ := newGNI(4)
 	rx := g.CqCreate("rx")
