@@ -187,10 +187,11 @@ func poolMethod(info *types.Info, call *ast.CallExpr) string {
 }
 
 // poolOp classifies a call's effect on ownership: "acquire" (pool Get,
-// //simlint:acquire), "release" (pool Put, //simlint:release), or "".
+// SlabCache.GetDirty, //simlint:acquire), "release" (pool Put,
+// //simlint:release), or "".
 func poolOp(pass *framework.Pass, call *ast.CallExpr) string {
 	switch poolMethod(pass.TypesInfo, call) {
-	case "Get":
+	case "Get", "GetDirty":
 		return "acquire"
 	case "Put":
 		return "release"

@@ -470,3 +470,40 @@ func TestRestoreRejectsMismatchedArrays(t *testing.T) {
 		t.Fatal("restore with missing arrays succeeded")
 	}
 }
+
+// TestEntrySendAllocFree pins the entry-method send path allocation-free
+// in steady state: an Array send to an element on the other node, and
+// that element's reply, carry their element and entry in the envelope's
+// entry header, so a round trip through the scheduler, the machine layer
+// and both handlers allocates nothing.
+func TestEntrySendAllocFree(t *testing.T) {
+	for _, layer := range []charmgo.LayerKind{charmgo.LayerUGNI, charmgo.LayerMPI} {
+		rt := newRT(2, 1, layer)
+		arr := rt.NewArray(2, func(idx int) any { return &counter{} }, nil)
+		if arr.PEOf(0) == arr.PEOf(1) {
+			t.Fatal("both elements on one PE: the round trip would not cross the network")
+		}
+		arg := &counter{}
+		var pong int
+		ping := arr.Entry(func(ctx *converse.Ctx, elem, a any) {
+			elem.(*counter).hits++
+			arr.Send(ctx, 0, pong, a, 64)
+		})
+		pong = arr.Entry(func(ctx *converse.Ctx, elem, a any) {
+			elem.(*counter).hits++
+			a.(*counter).hits++
+		})
+		start := func(ctx *converse.Ctx) { arr.SendPrio(ctx, 1, ping, arg, 64, 1) }
+		rt.Start(start)
+		for i := 0; i < 4; i++ { // grow the queues to their steady-state capacity
+			rt.Resume(start)
+		}
+		allocs := testing.AllocsPerRun(100, func() { rt.Resume(start) })
+		if allocs != 0 {
+			t.Errorf("%v: %.1f allocations per entry round trip, want 0", layer, allocs)
+		}
+		if want := 1 + 4 + 101; arg.hits != want {
+			t.Fatalf("%v: %d round trips completed, want %d", layer, arg.hits, want)
+		}
+	}
+}

@@ -3,9 +3,11 @@
 // (chare arrays) that communicate through asynchronous entry-method
 // invocations, with array reductions and measurement-based load balancing.
 //
-// The runtime multiplexes every entry invocation through one Converse
-// handler; element-to-PE placement is explicit and migratable, which is
-// what the NAMD-style load balancer uses.
+// Each array registers one Converse handler; an entry invocation carries
+// its element index and entry method in the message envelope's entry
+// header (lrts.Message.Elem and Entry), as CHARM++'s envelope does, and
+// its argument as the payload. Element-to-PE placement is explicit and
+// migratable, which is what the NAMD-style load balancer uses.
 package charm
 
 import (
@@ -21,7 +23,6 @@ type Runtime struct {
 	M *converse.Machine
 
 	arrays       []*Array
-	entryHandler int
 	startHandler int
 	startFn      func(ctx *converse.Ctx)
 	nop          int // do-nothing handler (migration payloads)
@@ -34,7 +35,6 @@ type Runtime struct {
 // sending any messages.
 func NewRuntime(m *converse.Machine) *Runtime {
 	rt := &Runtime{M: m}
-	rt.entryHandler = m.RegisterHandler(rt.onEntry)
 	rt.startHandler = m.RegisterHandler(func(ctx *converse.Ctx, msg *lrts.Message) {
 		rt.startFn(ctx)
 	})
@@ -66,21 +66,6 @@ func (rt *Runtime) Resume(fn func(ctx *converse.Ctx)) sim.Time {
 	return rt.M.Run()
 }
 
-// invocation is the wire payload of an entry-method send.
-type invocation struct {
-	array int
-	idx   int
-	entry int
-	arg   any
-}
-
-// onEntry demultiplexes entry invocations to array elements.
-func (rt *Runtime) onEntry(ctx *converse.Ctx, msg *lrts.Message) {
-	inv := msg.Data.(*invocation)
-	arr := rt.arrays[inv.array]
-	arr.execute(ctx, inv)
-}
-
 // EntryFn is an entry method: it runs on the element's current PE with the
 // element object and the invocation argument.
 type EntryFn func(ctx *converse.Ctx, elem any, arg any)
@@ -106,6 +91,7 @@ func RoundRobinMap(idx, n, numPEs int) int { return idx % numPEs }
 type Array struct {
 	rt      *Runtime
 	id      int
+	handler int // the Converse handler that runs this array's entry messages
 	n       int
 	elems   []any
 	peOf    []int
@@ -144,6 +130,7 @@ func (rt *Runtime) NewArray(n int, factory func(idx int) any, mapFn MapFn) *Arra
 		}
 		arr.peOf[i] = pe
 	}
+	arr.handler = rt.M.RegisterHandler(arr.onEntry)
 	rt.arrays = append(rt.arrays, arr)
 	return arr
 }
@@ -170,16 +157,26 @@ func (a *Array) Send(ctx *converse.Ctx, idx, entry int, arg any, size int) {
 }
 
 // SendPrio is Send with an explicit scheduler priority (lower runs first).
+// The element and entry ride in the envelope's entry header and arg is the
+// payload, so the send allocates nothing beyond what arg itself costs.
+//
+//simlint:hotpath
 func (a *Array) SendPrio(ctx *converse.Ctx, idx, entry int, arg any, size, priority int) {
-	inv := &invocation{array: a.id, idx: idx, entry: entry, arg: arg}
-	ctx.SendPrio(a.peOf[idx], a.rt.entryHandler, inv, size, priority)
+	ctx.SendEntry(a.peOf[idx], a.handler, idx, entry, arg, size, priority)
 }
 
 // SendPersistent invokes entry over a persistent channel created with
 // ctx.CreatePersistent toward the element's PE.
 func (a *Array) SendPersistent(ctx *converse.Ctx, h lrts.PersistentHandle, idx, entry int, arg any, size int) error {
-	inv := &invocation{array: a.id, idx: idx, entry: entry, arg: arg}
-	return ctx.SendPersistent(h, a.peOf[idx], a.rt.entryHandler, inv, size)
+	return ctx.SendPersistentEntry(h, a.peOf[idx], a.handler, idx, entry, arg, size)
+}
+
+// onEntry is the array's Converse handler: it runs the entry the
+// envelope's header names on its element, with the payload as argument.
+//
+//simlint:hotpath
+func (a *Array) onEntry(ctx *converse.Ctx, msg *lrts.Message) {
+	a.execute(ctx, int(msg.Elem), int(msg.Entry), msg.Data)
 }
 
 // BroadcastEntry invokes entry on every element (one message per element;
@@ -191,16 +188,16 @@ func (a *Array) BroadcastEntry(ctx *converse.Ctx, entry int, arg any, size int) 
 	}
 }
 
-// execute runs an invocation on its element, measuring load.
-func (a *Array) execute(ctx *converse.Ctx, inv *invocation) {
-	if a.peOf[inv.idx] != ctx.PE() {
+// execute runs entry on element idx with arg, measuring load.
+func (a *Array) execute(ctx *converse.Ctx, idx, entry int, arg any) {
+	if a.peOf[idx] != ctx.PE() {
 		// Message raced with a migration: forward to the current home.
-		a.Send(ctx, inv.idx, inv.entry, inv.arg, 64)
+		a.Send(ctx, idx, entry, arg, 64)
 		return
 	}
 	before := ctx.AppTime()
-	a.entries[inv.entry](ctx, a.elems[inv.idx], inv.arg)
-	a.load[inv.idx] += ctx.AppTime() - before
+	a.entries[entry](ctx, a.elems[idx], arg)
+	a.load[idx] += ctx.AppTime() - before
 }
 
 // Migrate moves element idx to pe, charging a migration message of

@@ -107,6 +107,6 @@ func (rt *Runtime) onSectionMsg(ctx *converse.Ctx, m *sectionMsg) {
 		panic(fmt.Sprintf("charm: section message for PE %d executed on %d", pe, ctx.PE()))
 	}
 	for _, idx := range s.local[pe] {
-		s.arr.execute(ctx, &invocation{array: s.arr.id, idx: idx, entry: m.entry, arg: m.arg})
+		s.arr.execute(ctx, idx, m.entry, m.arg)
 	}
 }

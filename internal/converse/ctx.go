@@ -59,12 +59,24 @@ func (c *Ctx) Send(dst, handler int, data any, size int) {
 //
 //simlint:hotpath
 func (c *Ctx) SendPrio(dst, handler int, data any, size, priority int) {
+	c.SendEntry(dst, handler, 0, 0, data, size, priority)
+}
+
+// SendEntry is SendPrio for a message that carries an entry header: elem
+// and entry travel in the envelope (lrts.Message.Elem and Entry), where
+// the CHARM++ layer's handler reads them, so the header needs no payload
+// record of its own. It is the one send body; SendPrio is its header-less
+// call.
+//
+//simlint:hotpath
+func (c *Ctx) SendEntry(dst, handler, elem, entry int, data any, size, priority int) {
 	m := c.proc.m
 	m.sent++
 	msg := m.msgs.Get()
 	msg.Data, msg.Size = data, size
 	msg.SrcPE, msg.DstPE = c.PE(), dst
 	msg.Handler, msg.SentAt, msg.Priority = handler, c.now, priority
+	msg.Elem, msg.Entry = int32(elem), int32(entry)
 	if dst == c.PE() {
 		c.Charge(m.opts.SelfSendCost)
 		m.Deliver(dst, msg, c.now)
@@ -82,11 +94,20 @@ func (c *Ctx) CreatePersistent(dst, maxBytes int) (lrts.PersistentHandle, error)
 //
 //simlint:hotpath
 func (c *Ctx) SendPersistent(h lrts.PersistentHandle, dst, handler int, data any, size int) error {
+	return c.SendPersistentEntry(h, dst, handler, 0, 0, data, size)
+}
+
+// SendPersistentEntry is SendPersistent with an entry header in the
+// envelope, as SendEntry is to SendPrio.
+//
+//simlint:hotpath
+func (c *Ctx) SendPersistentEntry(h lrts.PersistentHandle, dst, handler, elem, entry int, data any, size int) error {
 	m := c.proc.m
 	m.sent++
 	msg := m.msgs.Get()
 	msg.Data, msg.Size = data, size
 	msg.SrcPE, msg.DstPE = c.PE(), dst
 	msg.Handler, msg.SentAt = handler, c.now
+	msg.Elem, msg.Entry = int32(elem), int32(entry)
 	return m.layer.SendPersistent(c, h, msg)
 }

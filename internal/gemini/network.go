@@ -84,9 +84,9 @@ func NewNetwork(eng *sim.Engine, nodes int, p Params) *Network {
 		P:         p,
 		tab:       topology.NewTable(topo),
 		nodes:     nodeSlabs.Get(nodes),
-		nicRes:    gapSlabs.Get(2 * nodes),
+		nicRes:    nicSlabs.GetDirty(2 * nodes),
 		engines:   engineSlabs.Get(4 * nodes),
-		links:     gapSlabs.Get(topo.NumLinks()),
+		links:     linkSlabs.GetDirty(topo.NumLinks()),
 		peNode:    peNodeSlabs.Get(nodes * p.CoresPerNode),
 		routes:    routeSlabs.Get(nodes),
 		nbrRoutes: nbrSlabs.Get(topo.NumLinks()),
@@ -141,11 +141,15 @@ func NewNetwork(eng *sim.Engine, nodes int, p Params) *Network {
 }
 
 // Construction slab caches, recycled across networks (see mem.SlabCache).
-// nicRes and links share one cache: both are GapResource slabs and the
-// sizes interleave well across machine shapes.
+// The GapResource slabs come back unzeroed (GetDirty): InitGapResource
+// resets every field but the interval array, so each resource keeps the
+// buffer it grew on the last network and books without regrowing it.
+// NIC resources and links have caches of their own, so a slab of links
+// returns as links, with buffers sized for link traffic.
 var (
 	nodeSlabs   mem.SlabCache[Node]
-	gapSlabs    mem.SlabCache[sim.GapResource]
+	nicSlabs    mem.SlabCache[sim.GapResource]
+	linkSlabs   mem.SlabCache[sim.GapResource]
 	engineSlabs mem.SlabCache[unitEngine]
 	peNodeSlabs mem.SlabCache[int32]
 	routeSlabs  mem.SlabCache[[][]topology.LinkID]
@@ -157,8 +161,8 @@ var (
 // layers) must not be used afterwards.
 func (n *Network) Close() {
 	nodeSlabs.Put(n.nodes)
-	gapSlabs.Put(n.nicRes)
-	gapSlabs.Put(n.links)
+	nicSlabs.Put(n.nicRes)
+	linkSlabs.Put(n.links)
 	engineSlabs.Put(n.engines)
 	peNodeSlabs.Put(n.peNode)
 	routeSlabs.Put(n.routes)

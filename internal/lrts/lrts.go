@@ -38,6 +38,15 @@ type Message struct {
 	ReleasePE         int
 	ReleaseCap        int  // buffer capacity as reported by the layer's allocator
 	ReleaseRegistered bool // buffer was registered memory (deregister on free)
+
+	// Elem and Entry are the entry header of a CHARM++ entry-method send:
+	// the target array element and the entry method's index, read by the
+	// array's handler on arrival (zero for other messages). As in CHARM++'s
+	// envelope, the header travels in the runtime's pooled message, so an
+	// entry send allocates no payload record of its own. They fill the
+	// padding after ReleaseRegistered: the envelope stays in the 112-byte
+	// allocation size class (TestMessageSizeClass).
+	Elem, Entry int32
 }
 
 // BufReleaser frees a receive buffer previously attached to a Message via

@@ -3,6 +3,7 @@ package lrts
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"charmgo/internal/sim"
 )
@@ -47,5 +48,15 @@ func TestMessageReleaseContract(t *testing.T) {
 	plain := &Message{}
 	if plain.ReleaseBy != nil {
 		t.Fatal("zero-value message has a release hook")
+	}
+}
+
+// TestMessageSizeClass pins the envelope in the 112-byte allocation size
+// class: every send acquires one from the converse pool, and the entry
+// header (Elem, Entry) must ride in its padding rather than push the
+// record into the next class.
+func TestMessageSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size > 112 {
+		t.Fatalf("unsafe.Sizeof(lrts.Message{}) = %d, want <= 112", size)
 	}
 }

@@ -301,13 +301,13 @@ func (a *app) onPatchStart(ctx *converse.Ctx, elem, arg any) {
 	atoms := a.atomCount[p.idx]
 	posBytes := atoms * a.cfg.BytesPerAtomPos
 	for _, ci := range a.compsOf[p.idx] {
-		a.computes.Send(ctx, ci, a.eCompPos, p.idx, posBytes)
+		a.computes.Send(ctx, ci, a.eCompPos, nil, posBytes)
 	}
 	// Charge spreading (30% of PME work lives patch-side).
 	ctx.Compute(sim.Time(atoms) * a.cfg.PMEPerAtom * 3 / 10)
 	chgBytes := atoms*a.cfg.BytesPerAtomCharge/pencilFanout + 64
 	for _, j := range a.pensOf[p.idx] {
-		a.pencils.SendPrio(ctx, j, a.ePencilCharge, p.idx, chgBytes, a.pmePrio())
+		a.pencils.SendPrio(ctx, j, a.ePencilCharge, nil, chgBytes, a.pmePrio())
 	}
 }
 

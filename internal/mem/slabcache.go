@@ -20,7 +20,11 @@ import "sync"
 //
 // Slabs are zeroed on Get, not on Put, so reuse is behaviorally identical
 // to a fresh make — a stale field can never leak into the next machine and
-// double-run determinism is preserved by construction.
+// double-run determinism is preserved by construction. GetDirty is the one
+// exception, for element types whose initializer resets every field but a
+// buffer worth keeping (sim.GapResource's interval array): it hands the
+// slab out as its last owner left it, and the caller initializes every
+// element before use.
 //
 // Ownership vocabulary (checked by the simlint closechain analyzer;
 // DESIGN.md §6 "Ownership rules"): Get acquires a slab for the machine
@@ -45,6 +49,18 @@ const slabCacheMax = 16
 // one with sufficient capacity exists. The slab belongs to the caller (in
 // practice: the machine storing it in a field) until released with Put.
 func (c *SlabCache[T]) Get(n int) []T {
+	s := c.GetDirty(n)
+	clear(s)
+	return s
+}
+
+// GetDirty is Get without the zeroing: a reused slab's elements hold
+// whatever its last owner left in them, so buffers they own survive into
+// the next machine. The caller must initialize every element of the
+// returned slice before use, with an initializer that leaves no state of
+// the last owner observable (sim.InitGapResource keeps only the capacity
+// of the interval array, whose layout does not affect any booking).
+func (c *SlabCache[T]) GetDirty(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -56,9 +72,7 @@ func (c *SlabCache[T]) Get(n int) []T {
 			c.free[last] = nil
 			c.free = c.free[:last]
 			c.mu.Unlock()
-			s = s[:n]
-			clear(s)
-			return s
+			return s[:n]
 		}
 	}
 	c.mu.Unlock()

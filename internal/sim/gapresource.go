@@ -65,7 +65,9 @@ func NewGapResource(name Name, clock func() Time) *GapResource {
 // InitGapResource initializes r in place with NewGapResource semantics,
 // for callers that slab-allocate resource arrays (one allocation for a
 // whole network's links) instead of one heap object per resource. The
-// interval buffer r already holds is kept for reuse.
+// interval buffer r already holds is kept for reuse: every other field is
+// reset, and only the buffer's capacity carries over, which moves where
+// intervals sit in it but never where a booking lands.
 func InitGapResource(r *GapResource, name Name, clock func() Time) {
 	if clock == nil {
 		panic("sim: NewGapResource requires a clock for exact dead-interval pruning")
@@ -280,7 +282,7 @@ func (r *GapResource) relayout() {
 	live := len(a) + len(b)
 	buf := iv[:cap(iv)]
 	if 4*live > 3*cap(iv) || cap(iv)-live < 2 {
-		//simlint:allow hotpathalloc -- span-array growth: a resource's array doubles only while its live interval count reaches a new peak, and is then reused for every later booking on that network (about 11,000 allocations and 35 MB per namd benchmark op, Fig 13 DHFR/3840 on both layers, since every network's resources start empty)
+		//simlint:allow hotpathalloc -- span-array growth: a resource's array doubles only while its live interval count reaches a new peak, and it survives Network.Close into the next network built from the same slabs (InitGapResource keeps it), so the first namd benchmark op (Fig 13 DHFR/3840 on both layers) grows about 5,900 arrays for 20 MB, the second about one (an array that starts larger is laid out again at other moments), and later ops none
 		buf = make([]span, max(2*cap(iv), 8))
 	}
 	hole := (len(buf) - live) / 2

@@ -16,16 +16,15 @@ import (
 type GNI struct {
 	Net *gemini.Network
 
-	smsgMax  int
-	rxCQ     []*CQ // per-PE SMSG receive CQ (attached by the machine layer)
-	mbxBytes int64
-	amoRegs  map[amoKey]int64 // lazily created on first AMO
+	smsgMax int
+	rxCQ    []*CQ            // per-PE SMSG receive CQ (attached by the machine layer)
+	amoRegs map[amoKey]int64 // lazily created on first AMO
 
 	// eps holds the SMSG endpoints, one table per sending PE (nil until
 	// the first send or squeeze): the PE's record for each peer it has
 	// an ordered connection to, created on the pair's first send (or by
 	// SqueezeCredits). A record carries the pair's credit window and
-	// whether its mailbox is accounted. A send looks its record up once
+	// whether this direction has sent. A send looks its record up once
 	// and the delivery carries it, so the receive side returns the credit
 	// when it dequeues the message (hook invocation or GetEvent) without
 	// a lookup. A sender that saw RCNotDone gets one EvCreditReturn
@@ -150,26 +149,37 @@ func (g *GNI) Registrations() uint64 { return g.registrations }
 // enforces, so memory accounting and back-pressure accounting agree. It
 // grows with distinct connected pairs — the scalability cost the paper
 // attributes to SMSG.
-func (g *GNI) MailboxBytes() int64 { return g.mbxBytes }
-
-// connect accounts the mailbox of c's PE pair on the pair's first send in
-// either direction: both endpoints allocate and register a mailbox ring.
-// The reverse record, in dst's endpoint table, settles whether the other
-// direction already did; one that SqueezeCredits created before any send
-// has no mailbox yet.
-func (g *GNI) connect(c *smsgConn, src, dst int) {
-	if r := g.eps[dst].find(src); r == nil || !r.mailbox {
-		g.mbxBytes += 2 * int64(g.Net.P.SMSGMailboxBytes())
+//
+// A pair's mailboxes exist from its first send in either direction, which
+// marks that direction's record (smsgConn.mailbox); a record SqueezeCredits
+// created before any send has none. The pairs are counted here, from the
+// records, rather than on the send path: a first send then only sets its
+// own flag and never probes the peer's table for the reverse record. A
+// pair is counted at its lower rank's record, or at the higher rank's
+// when the lower rank never sent.
+func (g *GNI) MailboxBytes() int64 {
+	var pairs int64
+	for src := range g.eps {
+		for _, c := range g.eps[src].slots {
+			if c == nil || !c.mailbox {
+				continue
+			}
+			if dst := int(c.peer); src <= dst {
+				pairs++
+			} else if r := g.eps[dst].find(src); r == nil || !r.mailbox {
+				pairs++
+			}
+		}
 	}
-	c.mailbox = true
+	return pairs * 2 * int64(g.Net.P.SMSGMailboxBytes())
 }
 
 // smsgConn is one ordered (src→dst) connection: peer is dst, the key its
 // endpoint-table slot is found by, inflight counts slots occupied in
 // dst's mailbox, limit is the current window size (narrowed by
 // SqueezeCredits), starved marks a sender waiting for an EvCreditReturn
-// notification, and mailbox marks the pair's mailbox as accounted (set by
-// the first send in this direction, see connect).
+// notification, and mailbox marks that this direction has sent, so the
+// pair's mailboxes exist (see MailboxBytes).
 type smsgConn struct {
 	peer     int32
 	limit    int32
@@ -486,9 +496,7 @@ func (g *GNI) SmsgSendWTag(src, dst int, tag uint8, size int, payload any, at si
 		return 0, RCErrorResource, fmt.Errorf("ugni: PE %d has no attached SMSG receive CQ", dst)
 	}
 	c := g.conn(src, dst)
-	if !c.mailbox {
-		g.connect(c, src, dst)
-	}
+	c.mailbox = true
 	if c.inflight >= c.limit {
 		c.starved = true
 		g.smsgNotDone++
